@@ -34,7 +34,7 @@ fn bench_extraction(c: &mut Criterion) {
         b.iter(|| {
             // Fresh Prep each iteration: measures the uncached stage-one
             // cost (profile + enumerate + select).
-            let p = Prep::new(&w, &Input::tiny());
+            let p = Prep::try_new(&w, &Input::tiny()).expect("adpcm.enc prepares");
             let sel = p.select(&Policy::integer_memory());
             (p.candidates.len(), sel.chosen.len())
         })

@@ -1,6 +1,6 @@
 //! Criterion wrappers over scaled-down versions of each paper experiment,
 //! so `cargo bench --workspace` exercises the whole harness. The full-size
-//! tables are produced by the `fig*` binaries (see `EXPERIMENTS.md`).
+//! tables are produced by `mg run <experiment>` (see `EXPERIMENTS.md`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mg_bench::{Engine, Run};
@@ -17,11 +17,15 @@ fn quick(mut cfg: SimConfig) -> SimConfig {
 
 /// Two prepared workloads (crc32, rgba.conv) behind a shared engine.
 fn engine() -> Engine {
+    engine_of(&["crc32", "rgba.conv"])
+}
+
+/// The named workloads prepared on the tiny input.
+fn engine_of(names: &[&str]) -> Engine {
     Engine::builder()
-        .workloads(&["crc32", "rgba.conv"])
-        .input(Input::tiny())
-        .quick(false)
-        .build()
+        .try_workloads(names)
+        .and_then(|b| b.input(Input::tiny()).quick(false).try_build())
+        .expect("bench workloads prepare")
 }
 
 /// Figure 5: coverage sweep (capacity × size, both policies).
@@ -53,7 +57,7 @@ fn bench_fig5(c: &mut Criterion) {
 /// through the engine's matrix fan-out (one workload, so the measured
 /// cost is exactly the crc32 baseline + mg pair).
 fn bench_fig6(c: &mut Criterion) {
-    let e = Engine::builder().workloads(&["crc32"]).input(Input::tiny()).quick(false).build();
+    let e = engine_of(&["crc32"]);
     let runs = [
         Run::baseline(quick(SimConfig::baseline())),
         Run::mini_graph(
@@ -64,7 +68,7 @@ fn bench_fig6(c: &mut Criterion) {
     ];
     c.bench_function("fig6/baseline_vs_mg", |b| {
         b.iter(|| {
-            let matrix = e.run(&runs);
+            let matrix = e.try_run(&runs).expect("fig6 cells run");
             (matrix.rows[0].stats[0].cycles, matrix.rows[0].stats[1].cycles)
         })
     });
@@ -96,12 +100,13 @@ fn bench_fig8(c: &mut Criterion) {
     let policy = Policy::integer_memory();
     c.bench_function("fig8/reduced_resources", |b| {
         b.iter(|| {
-            let small = p.run_policy(
+            let small = p.try_run_policy(
                 &policy,
                 RewriteStyle::NopPadded,
                 &quick(SimConfig::mg_integer_memory().with_phys_regs(104)),
             );
-            let narrow = p.run_baseline(&quick(SimConfig::baseline().with_front_width(4)));
+            let narrow = p.try_run_baseline(&quick(SimConfig::baseline().with_front_width(4)));
+            let (small, narrow) = (small.expect("mg run"), narrow.expect("baseline run"));
             (small.cycles, narrow.cycles)
         })
     });

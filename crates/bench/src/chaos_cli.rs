@@ -28,7 +28,7 @@
 use crate::cli::{self, Format, RunArgs};
 use crate::serve_cli;
 use crate::soak::{self, SoakJob, CLIENT_ATTEMPTS, SOAK_DEADLINE};
-use mg_api::Session;
+use mg_api::{MgError, Session};
 use mg_fault::{points, FaultPlan};
 use mg_serve::{Client, Request, Response, RetryPolicy, RunRequest, ServerConfig};
 use std::sync::Arc;
@@ -132,7 +132,7 @@ fn request_matrix(quick: bool) -> Vec<(Format, RunRequest)> {
 /// The fault-free reference payloads, computed in-process through the
 /// exact `mg run` code path (hermetic session: no cache, no pool
 /// sharing with the daemon under test).
-fn references(quick: bool) -> Vec<(Format, String)> {
+fn references(quick: bool) -> Result<Vec<(Format, String)>, MgError> {
     let args = RunArgs {
         quick: Some(quick),
         input: cli::parse_input("tiny").expect("tiny input"),
@@ -140,16 +140,19 @@ fn references(quick: bool) -> Vec<(Format, String)> {
         ..RunArgs::default()
     };
     let spec = cli::experiment("fig7").expect("fig7 registered");
-    let report = (spec.build)(&args);
-    request_matrix(quick).into_iter().map(|(fmt, _)| (fmt, cli::render(&report, fmt))).collect()
+    let report = (spec.build)(&args)?;
+    Ok(request_matrix(quick)
+        .into_iter()
+        .map(|(fmt, _)| (fmt, cli::render(&report, fmt)))
+        .collect())
 }
 
 /// The matrix plus its references as [`SoakJob`]s for the shared
 /// harness ([`soak::client_soak`]): every client walks the same jobs,
 /// each carrying the byte-exact payload it must receive.
-fn soak_jobs(quick: bool) -> Vec<SoakJob> {
-    let refs = references(quick);
-    request_matrix(quick)
+fn soak_jobs(quick: bool) -> Result<Vec<SoakJob>, MgError> {
+    let refs = references(quick)?;
+    Ok(request_matrix(quick)
         .into_iter()
         .map(|(fmt, request)| {
             let want = &refs.iter().find(|(f, _)| *f == fmt).expect("reference rendered").1;
@@ -159,7 +162,7 @@ fn soak_jobs(quick: bool) -> Vec<SoakJob> {
                 want: Some(Arc::new(want.clone())),
             }
         })
-        .collect()
+        .collect())
 }
 
 /// `mg chaos`: run the seeded fault-injection soak (see the module
@@ -208,7 +211,10 @@ pub fn cmd_chaos(argv: &[String]) -> i32 {
     }
 
     eprintln!("mg chaos: computing fault-free references (fig7, tiny)");
-    let jobs = soak_jobs(quick);
+    let jobs = match soak_jobs(quick) {
+        Ok(jobs) => jobs,
+        Err(e) => return cli::fail("chaos", e),
+    };
 
     // The daemon under test: loopback TCP, a throwaway cache root (so
     // cache-fault injection exercises real stores), and the plan armed

@@ -12,10 +12,9 @@
 //!
 //! Every experiment builds a structured [`Report`] — a sequence of text
 //! lines and typed tables — and the format renderers derive all four
-//! output shapes from it. The **text** rendering is byte-identical to the
-//! legacy per-figure binary for that experiment (`fig6_performance`,
-//! `iq_capacity`, …): the legacy binaries are now three-line shims over
-//! [`legacy_main`], kept for one release as deprecated aliases.
+//! output shapes from it. Builders return `Result<Report, MgError>`, so a
+//! harness failure reaches the caller as a typed error with its
+//! documented exit code.
 //!
 //! `mg report` turns the documentation into a build product: it composes
 //! `EXPERIMENTS.md` (every experiment's quick-mode output, which is
@@ -34,7 +33,7 @@ use std::sync::Arc;
 /// Output format of every subcommand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Format {
-    /// Legacy plain text (byte-identical to the per-figure binaries).
+    /// Plain text (the default).
     Text,
     /// One JSON document (`mg-report-v1`).
     Json,
@@ -65,10 +64,10 @@ pub struct TableBlock {
     pub id: String,
     /// Column headers.
     pub columns: Vec<String>,
-    /// Data rows (ragged rows allowed, as in the legacy tables).
+    /// Data rows (ragged rows allowed).
     pub rows: Vec<Vec<String>>,
     /// Whether the text renderer skips this table (used by experiments
-    /// whose legacy binaries print nothing to stdout, e.g. `perf`).
+    /// that print nothing to stdout in text, e.g. `perf`).
     pub hidden: bool,
 }
 
@@ -104,8 +103,7 @@ impl Report {
         self.blocks.push(Block::Line(s.into()));
     }
 
-    /// Appends an empty line followed by `s` (the `println!("\n…")`
-    /// idiom of the legacy binaries).
+    /// Appends an empty line followed by `s`.
     pub fn blank_then(&mut self, s: impl Into<String>) {
         self.line("");
         self.line(s);
@@ -157,7 +155,8 @@ impl TableBlock {
     }
 }
 
-/// Renders `report` exactly as the legacy binary printed it.
+/// Renders `report` as plain text: lines verbatim, visible tables
+/// column-aligned.
 pub fn render_text(report: &Report) -> String {
     let mut out = String::new();
     for b in &report.blocks {
@@ -310,7 +309,7 @@ pub fn render(report: &Report, format: Format) -> String {
     }
 }
 
-/// Arguments of `mg run` (and, restricted, of the legacy binaries).
+/// Arguments of `mg run`.
 #[derive(Clone)]
 pub struct RunArgs {
     /// `--quick`/`--full` override; `None` means the experiment default
@@ -367,8 +366,8 @@ impl Default for RunArgs {
             max_regression: 3.0,
             min_fused_speedup: 0.0,
             lang: None,
-            // The binaries' historical default: persistent artifact
-            // cache on (at the default root) unless --no-cache.
+            // Persistent artifact cache on (at the default root) unless
+            // --no-cache.
             session: Session::builder().cache(true).build(),
             progress: None,
         }
@@ -435,14 +434,12 @@ impl RunArgs {
 pub struct ExperimentSpec {
     /// Registry name (`mg run <name>`).
     pub name: &'static str,
-    /// The deprecated per-figure binary this replaces.
-    pub legacy_bin: &'static str,
     /// One-line description (shown by `mg list` and in the README).
     pub description: &'static str,
     /// Paper anchor (figure/section).
     pub paper_ref: &'static str,
     /// Builds the report.
-    pub build: fn(&RunArgs) -> Report,
+    pub build: fn(&RunArgs) -> Result<Report, MgError>,
 }
 
 /// The experiment registry, in the paper's presentation order.
@@ -450,7 +447,6 @@ pub fn experiments() -> Vec<ExperimentSpec> {
     vec![
         ExperimentSpec {
             name: "fig5",
-            legacy_bin: "fig5_coverage",
             description:
                 "Coverage sweeps: MGT capacity x max mini-graph size, all three panels",
             paper_ref: "Figure 5",
@@ -458,28 +454,24 @@ pub fn experiments() -> Vec<ExperimentSpec> {
         },
         ExperimentSpec {
             name: "fig6",
-            legacy_bin: "fig6_performance",
             description: "Speedup of the four mini-graph machine configurations over baseline",
             paper_ref: "Figure 6",
             build: figures::fig6,
         },
         ExperimentSpec {
             name: "fig7",
-            legacy_bin: "fig7_serialization",
             description: "Serialization/replay ablations (--best adds the per-benchmark sweep)",
             paper_ref: "Figure 7, §6.2",
             build: figures::fig7,
         },
         ExperimentSpec {
             name: "fig8_regfile",
-            legacy_bin: "fig8_regfile",
             description: "Performance vs physical-register-file size",
             paper_ref: "Figure 8 (top)",
             build: figures::fig8_regfile,
         },
         ExperimentSpec {
             name: "fig8_bandwidth",
-            legacy_bin: "fig8_bandwidth",
             description:
                 "Bandwidth and scheduler-latency reductions, with and without mini-graphs",
             paper_ref: "Figure 8 (bottom)",
@@ -487,28 +479,24 @@ pub fn experiments() -> Vec<ExperimentSpec> {
         },
         ExperimentSpec {
             name: "robustness",
-            legacy_bin: "robustness",
             description: "Cross-input coverage robustness (train/test input split)",
             paper_ref: "§6.1",
             build: figures::robustness,
         },
         ExperimentSpec {
             name: "icache",
-            legacy_bin: "icache_effects",
             description: "Instruction-cache effects: nop-padded vs compressed images",
             paper_ref: "§6.2",
             build: figures::icache,
         },
         ExperimentSpec {
             name: "iq_capacity",
-            legacy_bin: "iq_capacity",
             description: "Performance vs issue-queue size",
             paper_ref: "§6.3",
             build: figures::iq_capacity,
         },
         ExperimentSpec {
             name: "lang",
-            legacy_bin: "",
             description:
                 "mg-lang corpus (plus --lang FILE.mgl) compiled, verified three ways, simulated",
             paper_ref: "frontend",
@@ -516,7 +504,6 @@ pub fn experiments() -> Vec<ExperimentSpec> {
         },
         ExperimentSpec {
             name: "policy_lab",
-            legacy_bin: "",
             description:
                 "Selection-policy lab: greedy vs weighted/tiling/exact-DP with optimality gaps",
             paper_ref: "§4.2 extension",
@@ -524,7 +511,6 @@ pub fn experiments() -> Vec<ExperimentSpec> {
         },
         ExperimentSpec {
             name: "perf",
-            legacy_bin: "perf_report",
             description: "Times every sweep, writes BENCH_pipeline.json, gates on regressions",
             paper_ref: "tooling",
             build: figures::perf,
@@ -532,59 +518,9 @@ pub fn experiments() -> Vec<ExperimentSpec> {
     ]
 }
 
-/// Looks up an experiment by registry name or legacy binary name.
-/// (Newer experiments have no legacy alias — their `legacy_bin` is
-/// empty and never matches.)
+/// Looks up an experiment by registry name.
 pub fn experiment(name: &str) -> Option<ExperimentSpec> {
-    experiments()
-        .into_iter()
-        .find(|e| e.name == name || (!e.legacy_bin.is_empty() && e.legacy_bin == name))
-}
-
-/// Entry point of a deprecated per-figure binary: parses the binary's
-/// historical argv, runs the experiment, and prints the text rendering —
-/// byte-identical to the original main.
-pub fn legacy_main(name: &str) {
-    let spec = experiment(name).unwrap_or_else(|| panic!("unknown experiment {name:?}"));
-    let args = if spec.name == "perf" {
-        parse_legacy_perf_args()
-    } else {
-        let legacy = mg_harness::CliArgs::parse();
-        RunArgs {
-            quick: Some(legacy.quick),
-            threads: legacy.threads,
-            best: legacy.best,
-            no_cache: legacy.no_cache,
-            ..RunArgs::default()
-        }
-    };
-    let report = (spec.build)(&args);
-    print!("{}", render_text(&report));
-    if report.status != 0 {
-        std::process::exit(report.status);
-    }
-}
-
-/// The historical `perf_report` argv: quick by default, plus the report
-/// and regression-gate flags — parsed by the same [`parse_flags`] the
-/// `mg` subcommands use (one parser to keep in sync), with the shim's
-/// historical panic-on-bad-argument behaviour preserved.
-fn parse_legacy_perf_args() -> RunArgs {
-    let mut args = RunArgs { quick: Some(true), ..RunArgs::default() };
-    let mut format = Format::Text;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match parse_flags(&argv, &mut args, &mut format) {
-        Ok(positional) if positional.is_empty() => args,
-        Ok(positional) => panic!(
-            "unknown argument {:?} (expected --quick, --full, --threads N, --out PATH, \
-             --baseline PATH, or --max-regression X)",
-            positional[0]
-        ),
-        Err(e) => panic!(
-            "{e} (expected --quick, --full, --threads N, --out PATH, --baseline PATH, \
-             or --max-regression X)"
-        ),
-    }
+    experiments().into_iter().find(|e| e.name == name)
 }
 
 const USAGE: &str = "\
@@ -624,10 +560,8 @@ invocation (see docs/PROTOCOL.md). `mg cluster` runs N such daemons as
 shards behind one consistent-hash coordinator on the same wire
 protocol; `mg loadgen` soaks a fresh in-process cluster with seeded
 concurrent clients and writes the latency trajectory to
-BENCH_serve.json. The deprecated per-figure binaries
-(fig6_performance, ...) are aliases for `mg run <experiment> --format
-text` and print byte-identical output. Every subcommand is a thin
-shell over the embeddable `mg_api::Session` (see docs/API.md).
+BENCH_serve.json. Every subcommand is a thin shell over the embeddable
+`mg_api::Session` (see docs/API.md).
 
 EXIT STATUS (mg_api::MgErrorKind::exit_code; sysexits-style):
     0    success (or the experiment's own status)
@@ -654,7 +588,7 @@ whose registry workloads are known-good) are listed for completeness.
 
 /// Prints an [`MgError`] as `mg <cmd>: <error>` and returns its
 /// documented exit status (the table in [`USAGE`]).
-fn fail(cmd: &str, e: MgError) -> i32 {
+pub(crate) fn fail(cmd: &str, e: MgError) -> i32 {
     eprintln!("mg {cmd}: {e}");
     e.exit_code()
 }
@@ -806,9 +740,13 @@ fn cmd_run(argv: &[String]) -> i32 {
             MgError::invalid_spec(format!("unknown experiment {name:?}; see `mg list`")),
         );
     };
-    let report = (spec.build)(&args);
-    print!("{}", render(&report, format));
-    report.status
+    match (spec.build)(&args) {
+        Ok(report) => {
+            print!("{}", render(&report, format));
+            report.status
+        }
+        Err(e) => fail("run", e),
+    }
 }
 
 fn cmd_list(argv: &[String]) -> i32 {
@@ -819,14 +757,9 @@ fn cmd_list(argv: &[String]) -> i32 {
     }
     let mut report = Report::new("list");
     report.line("== Experiments (mg run <name>) ==");
-    let mut t = TableBlock::new("list", &["name", "paper", "deprecated alias", "description"]);
+    let mut t = TableBlock::new("list", &["name", "paper", "description"]);
     for e in experiments() {
-        t.row(vec![
-            e.name.to_string(),
-            e.paper_ref.to_string(),
-            if e.legacy_bin.is_empty() { "-".to_string() } else { e.legacy_bin.to_string() },
-            e.description.to_string(),
-        ]);
+        t.row(vec![e.name.to_string(), e.paper_ref.to_string(), e.description.to_string()]);
     }
     report.table(t);
     print!("{}", render(&report, format));
@@ -883,12 +816,11 @@ fn cmd_cache(argv: &[String]) -> i32 {
 /// its output is wall-clock timings, which are machine-dependent and
 /// would make the generated docs non-reproducible.
 ///
-/// Each builder constructs its own engine — ~9 preparation passes per
-/// report, exactly like running the nine binaries did. That redundancy
-/// is deliberate: fig7 prepares only its focus subset, robustness
-/// prepares two different inputs, and per-builder engines are what
-/// keep every experiment's output byte-identical to its standalone
-/// `mg run` (and legacy binary) invocation.
+/// Each builder constructs its own engine — one preparation pass per
+/// experiment. That redundancy is deliberate: fig7 prepares only its
+/// focus subset, robustness prepares two different inputs, and
+/// per-builder engines are what keep every experiment's output
+/// byte-identical to its standalone `mg run` invocation.
 const REPORT_EXPERIMENTS: &[&str] = &[
     "fig5",
     "fig6",
@@ -916,7 +848,11 @@ fn repo_root() -> PathBuf {
 /// Composes the generated `EXPERIMENTS.md`: prose plus each experiment's
 /// quick-mode text output (deterministic across machines and thread
 /// counts) in fenced blocks.
-pub fn compose_experiments_md(args: &RunArgs) -> String {
+///
+/// # Errors
+///
+/// The first experiment's [`MgError`], if any builder fails.
+pub fn compose_experiments_md(args: &RunArgs) -> Result<String, MgError> {
     let mut out = String::from(
         "# Experiment log\n\
          \n\
@@ -975,9 +911,7 @@ pub fn compose_experiments_md(args: &RunArgs) -> String {
     );
     for name in REPORT_EXPERIMENTS {
         let spec = experiment(name).expect("registry name");
-        let mut run_args = args.clone();
-        run_args.quick = Some(true);
-        let report = (spec.build)(&run_args);
+        let report = quick_report(&spec, args)?;
         let _ = write!(
             out,
             "\n## {} — {} (quick mode)\n\n```\n{}```\n",
@@ -986,7 +920,14 @@ pub fn compose_experiments_md(args: &RunArgs) -> String {
             render_text(&report)
         );
     }
-    out
+    Ok(out)
+}
+
+/// Builds `spec`'s report in quick mode (the mode `mg report` documents).
+fn quick_report(spec: &ExperimentSpec, args: &RunArgs) -> Result<Report, MgError> {
+    let mut run_args = args.clone();
+    run_args.quick = Some(true);
+    (spec.build)(&run_args)
 }
 
 /// Composes the generated quickstart block for `README.md` (between
@@ -1018,17 +959,8 @@ pub fn compose_readme_block() -> String {
          `MG_NO_FUSE=1`; results are bit-identical either way), and\n\
          `--format text|json|csv|markdown` selects the output shape.\n\
          `mg list` prints this registry; `mg cache stats|clear|dir` manages\n\
-         the artifact cache.\n\n\
-         The per-figure binaries of earlier releases are **deprecated\n\
-         aliases** kept for one release; each is a shim over the same code\n\
-         and prints byte-identical output:\n\n",
+         the artifact cache.\n",
     );
-    let aliased: Vec<_> = specs.iter().filter(|e| !e.legacy_bin.is_empty()).collect();
-    let bin_width = aliased.iter().map(|e| e.legacy_bin.len()).max().unwrap_or(0);
-    for e in &aliased {
-        let pad = " ".repeat(bin_width - e.legacy_bin.len());
-        let _ = writeln!(out, "* `{}`{pad} → `mg run {}`", e.legacy_bin, e.name);
-    }
     let _ = write!(
         out,
         "\n### Serving experiments — `mg serve` and `mg client`\n\n\
@@ -1122,16 +1054,19 @@ fn cmd_report(argv: &[String]) -> i32 {
         // JSON wraps the per-experiment documents in one array so the
         // stream stays a single parseable document; text and CSV
         // concatenate (CSV keeps its `# table:` separators).
-        let reports = REPORT_EXPERIMENTS.iter().map(|name| {
-            let spec = experiment(name).expect("registry name");
-            let mut run_args = args.clone();
-            run_args.quick = Some(true);
-            (spec.build)(&run_args)
-        });
+        let reports: Result<Vec<Report>, MgError> = REPORT_EXPERIMENTS
+            .iter()
+            .map(|name| quick_report(&experiment(name).expect("registry name"), &args))
+            .collect();
+        let reports = match reports {
+            Ok(reports) => reports,
+            Err(e) => return fail("report", e),
+        };
         if format == Format::Json {
             let docs: Vec<String> = reports
+                .iter()
                 .map(|r| {
-                    let doc = render_json(&r);
+                    let doc = render_json(r);
                     // Indent each document two spaces to sit inside the array.
                     let indented: Vec<String> =
                         doc.trim_end().lines().map(|l| format!("  {l}")).collect();
@@ -1140,14 +1075,17 @@ fn cmd_report(argv: &[String]) -> i32 {
                 .collect();
             println!("[\n{}\n]", docs.join(",\n"));
         } else {
-            for report in reports {
-                print!("{}", render(&report, format));
+            for report in &reports {
+                print!("{}", render(report, format));
             }
         }
         return 0;
     }
 
-    let experiments_md = compose_experiments_md(&args);
+    let experiments_md = match compose_experiments_md(&args) {
+        Ok(md) => md,
+        Err(e) => return fail("report", e),
+    };
     let readme_block = compose_readme_block();
     let root = repo_root();
     let experiments_path = root.join("EXPERIMENTS.md");
@@ -1302,17 +1240,21 @@ mod tests {
     }
 
     #[test]
-    fn registry_names_and_aliases_resolve() {
+    fn registry_names_resolve_and_old_binary_names_do_not() {
         assert_eq!(experiments().len(), 11);
         for e in experiments() {
-            assert!(experiment(e.name).is_some());
-            if !e.legacy_bin.is_empty() {
-                assert!(experiment(e.legacy_bin).is_some());
-            }
+            assert!(experiment(e.name).is_some(), "{}", e.name);
         }
-        assert!(experiment("nonesuch").is_none());
-        // An empty name must not accidentally match an alias-less entry.
-        assert!(experiment("").is_none());
+        // The per-figure binary names are gone from the lookup.
+        for old in ["fig6_performance", "perf_report", "nonesuch", ""] {
+            assert!(experiment(old).is_none(), "{old:?} must not resolve");
+        }
+    }
+
+    #[test]
+    fn run_of_an_old_binary_name_is_an_invalid_spec() {
+        let argv = ["fig6_performance".to_string(), "--quick".to_string()];
+        assert_eq!(cmd_run(&argv), mg_api::MgErrorKind::InvalidSpec.exit_code());
     }
 
     #[test]
@@ -1321,7 +1263,7 @@ mod tests {
         let spliced = splice_readme(&readme, &compose_readme_block()).unwrap();
         assert!(spliced.starts_with("head\n"));
         assert!(spliced.ends_with("\ntail\n"));
-        assert!(spliced.contains("mg run fig6"));
+        assert!(spliced.contains("--bin mg -- run fig6"));
         assert!(!spliced.contains("\nold\n"));
         assert!(splice_readme("no markers", "x").is_none());
     }

@@ -1,12 +1,13 @@
-//! Shared experiment definitions: the run matrices each per-figure
-//! binary simulates, factored out so the binaries and the `perf_report`
-//! benchmark driver measure exactly the same work.
+//! Shared experiment definitions: the run matrices each figure's
+//! experiment simulates, factored out so the report builders in
+//! [`crate::figures`] and the `mg run perf` benchmark driver measure
+//! exactly the same work.
 //!
 //! Each `*_runs()` function returns the column specification of one
-//! figure's (workload × run) matrix; the binaries add their own
-//! rendering, and `perf_report` times `Engine::run` over the same
-//! columns. Keep these in sync with the paper sections cited in the
-//! binaries' module docs.
+//! figure's (workload × run) matrix; the report builders add their own
+//! rendering, and `mg run perf` times `Engine::try_run` over the same
+//! columns. Keep these in sync with the paper sections cited in
+//! `EXPERIMENTS.md`.
 
 use mg_core::{select_domain, Policy, RewriteStyle};
 use mg_harness::{Engine, Run};
@@ -176,7 +177,7 @@ pub fn fig8_bandwidth_runs() -> Vec<Run> {
 }
 
 /// §6.2 instruction-cache-effects selection policy — shared with the
-/// binary's compressed-image static-size lookup, which must use the
+/// report's compressed-image static-size lookup, which must use the
 /// same policy the matrix simulated for its memo-cache hit (and its
 /// numbers) to be the right ones.
 pub fn icache_policy() -> Policy {

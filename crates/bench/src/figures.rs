@@ -1,15 +1,13 @@
 //! Report builders for every experiment in the CLI registry.
 //!
-//! Each function here is the ported `main` of one legacy per-figure
-//! binary, producing a structured [`Report`] instead of printing. The
-//! ports are line-for-line: the text rendering of each report is
-//! byte-identical to the original binary's stdout (the binaries are now
-//! shims over these builders, so identity holds by construction — and the
-//! golden outputs captured before the port verified it once by diff).
+//! Each function here builds one experiment's structured [`Report`];
+//! `mg run <experiment>` renders it. Harness failures (preparation,
+//! simulation, report I/O) return as a typed [`MgError`] instead of
+//! panicking, so `mg run` and `mg serve` both answer them with the
+//! documented exit code or error frame.
 //!
-//! The paper sections and modeling notes live in the module docs of the
-//! original binaries' history and in `EXPERIMENTS.md`; the run matrices
-//! are shared with [`crate::experiments`].
+//! The paper sections and modeling notes live in `EXPERIMENTS.md`; the
+//! run matrices are shared with [`crate::experiments`].
 
 use crate::cli::{Report, RunArgs, TableBlock};
 use crate::experiments::{
@@ -17,8 +15,9 @@ use crate::experiments::{
     fig8_regfile_runs, icache_policy, icache_runs, iq_capacity_runs, FIG5_CAPACITIES,
     FIG5_SIZES, FIG7_FOCUS, IQ_SIZES, REGFILE_SIZES,
 };
+use mg_api::MgError;
 use mg_core::{select, select_domain, MiniGraph, Policy, RewriteStyle};
-use mg_harness::{by_suite, gmean, Engine, Prep, PrepCache, Run};
+use mg_harness::{by_suite, gmean, Engine, HarnessError, Prep, PrepCache, Run};
 use mg_isa::{MgTemplate, Opcode, TmplInst, TmplOperand};
 use mg_workloads::Input;
 use rand::rngs::StdRng;
@@ -28,8 +27,8 @@ use std::time::Instant;
 
 /// Figure 5 — mini-graph coverage: all three panels (application-specific
 /// integer, application-specific integer-memory, domain-specific).
-pub fn fig5(args: &RunArgs) -> Report {
-    let engine = args.engine().build();
+pub fn fig5(args: &RunArgs) -> Result<Report, MgError> {
+    let engine = args.engine().try_build()?;
     let mut r = Report::new("fig5");
     fig5_panel(&mut r, &engine, &Policy::integer(), "top: application-specific integer");
     fig5_panel(
@@ -39,7 +38,7 @@ pub fn fig5(args: &RunArgs) -> Report {
         "middle: application-specific integer-memory",
     );
     fig5_domain_panel(&mut r, &engine);
-    r
+    Ok(r)
 }
 
 fn fig5_panel(r: &mut Report, engine: &Engine, base: &Policy, title: &str) {
@@ -112,9 +111,9 @@ fn fig5_domain_panel(r: &mut Report, engine: &Engine) {
 }
 
 /// Figure 6 — performance of mini-graph processing.
-pub fn fig6(args: &RunArgs) -> Report {
-    let engine = args.engine().build();
-    let matrix = engine.run(&fig6_runs());
+pub fn fig6(args: &RunArgs) -> Result<Report, MgError> {
+    let engine = args.engine().try_build()?;
+    let matrix = engine.try_run(&fig6_runs())?;
     let mut r = Report::new("fig6");
     r.line("== Figure 6: speedup over 6-wide baseline (512-entry MGT, max size 4) ==");
     for (suite, members) in matrix.by_suite() {
@@ -145,24 +144,24 @@ pub fn fig6(args: &RunArgs) -> Report {
             gmean(&sp[3]),
         ));
     }
-    r
+    Ok(r)
 }
 
 /// Figure 7 — isolating serialization effects (`--best` adds §6.2).
-pub fn fig7(args: &RunArgs) -> Report {
+pub fn fig7(args: &RunArgs) -> Result<Report, MgError> {
     // The paper's six focus benchmarks, by behavioural analogue. Only
     // `--best` (the §6.2 suite sweep) needs every workload; the default
     // report simulates just the focus set.
     let focus = FIG7_FOCUS;
     let mut builder = args.engine();
     if !args.best {
-        builder = builder.workloads(&focus);
+        builder = builder.try_workloads(&focus)?;
     }
-    let engine = builder.build();
+    let engine = builder.try_build()?;
 
     // One matrix serves both reports: baseline + all seven ablations.
     let runs = fig7_runs();
-    let matrix = engine.run(&runs);
+    let matrix = engine.try_run(&runs)?;
 
     let mut r = Report::new("fig7");
     r.line("== Figure 7: serialization and replay ablation (speedup over baseline) ==");
@@ -202,14 +201,14 @@ pub fn fig7(args: &RunArgs) -> Report {
         }
         r.table(table);
     }
-    r
+    Ok(r)
 }
 
 /// Figure 8 (top) — capacity: physical register file size.
-pub fn fig8_regfile(args: &RunArgs) -> Report {
-    let engine = args.engine().build();
+pub fn fig8_regfile(args: &RunArgs) -> Result<Report, MgError> {
+    let engine = args.engine().try_build()?;
     // Column 0 is the reference; then (baseline, int, intmem) per size.
-    let matrix = engine.run(&fig8_regfile_runs());
+    let matrix = engine.try_run(&fig8_regfile_runs())?;
     let mut r = Report::new("fig8_regfile");
     r.line("== Figure 8 (top): performance vs physical register file size ==");
     r.line("   (all numbers relative to the 164-register baseline)");
@@ -250,14 +249,14 @@ pub fn fig8_regfile(args: &RunArgs) -> Report {
             ));
         }
     }
-    r
+    Ok(r)
 }
 
 /// Figure 8 (bottom) — bandwidth and scheduling-loop latency.
-pub fn fig8_bandwidth(args: &RunArgs) -> Report {
-    let engine = args.engine().build();
+pub fn fig8_bandwidth(args: &RunArgs) -> Result<Report, MgError> {
+    let engine = args.engine().try_build()?;
     let runs = fig8_bandwidth_runs();
-    let matrix = engine.run(&runs);
+    let matrix = engine.try_run(&runs)?;
     let mut r = Report::new("fig8_bandwidth");
     r.line("== Figure 8 (bottom): bandwidth / scheduler-latency reductions ==");
     r.line("   (all numbers relative to the 6-wide, 1-cycle-scheduler baseline)");
@@ -285,7 +284,7 @@ pub fn fig8_bandwidth(args: &RunArgs) -> Report {
             .collect();
         r.line(format!("gmean: {}", summary.join("  ")));
     }
-    r
+    Ok(r)
 }
 
 /// Realized coverage on the test input of a selection trained on the
@@ -305,13 +304,13 @@ fn cross_coverage(trained: &Prep, test: &Prep, policy: &Policy) -> (f64, f64) {
 }
 
 /// §6.1 — intra-application input-data robustness.
-pub fn robustness(args: &RunArgs) -> Report {
+pub fn robustness(args: &RunArgs) -> Result<Report, MgError> {
     let mut r = Report::new("robustness");
     r.line("== §6.1: coverage robustness across input data sets ==");
     r.line("   (trained on reference input, evaluated on alternative input)");
     // Two engines: identical workload order, different inputs.
-    let trained = args.engine().input(Input::reference()).build();
-    let test = args.engine().input(Input::alternative()).build();
+    let trained = args.engine().input(Input::reference()).try_build()?;
+    let test = args.engine().input(Input::alternative()).try_build()?;
     let policy = Policy::integer_memory();
 
     for ((suite, trained_members), (_, test_members)) in
@@ -338,14 +337,14 @@ pub fn robustness(args: &RunArgs) -> Report {
         r.table(t);
         r.line(format!("suite gmean retention: {:.2}", gmean(&rels)));
     }
-    r
+    Ok(r)
 }
 
 /// §6.2 — instruction-cache effects of code compression.
-pub fn icache(args: &RunArgs) -> Report {
-    let engine = args.engine().build();
+pub fn icache(args: &RunArgs) -> Result<Report, MgError> {
+    let engine = args.engine().try_build()?;
     let policy = icache_policy();
-    let matrix = engine.run(&icache_runs());
+    let matrix = engine.try_run(&icache_runs())?;
     let mut r = Report::new("icache");
     r.line("== §6.2: instruction-cache effects (nop-padded vs compressed images) ==");
     for (suite, members) in matrix.by_suite() {
@@ -363,7 +362,7 @@ pub fn icache(args: &RunArgs) -> Report {
             pad.push(px);
             comp.push(cx);
             // The compressed image is already cached from the matrix run.
-            let compressed_len = p.image(&policy, RewriteStyle::Compressed).program.len();
+            let compressed_len = p.try_image(&policy, RewriteStyle::Compressed)?.program.len();
             t.row(vec![
                 p.name.clone(),
                 p.prog.len().to_string(),
@@ -375,13 +374,13 @@ pub fn icache(args: &RunArgs) -> Report {
         r.table(t);
         r.line(format!("gmean: padded {:.3}  compressed {:.3}", gmean(&pad), gmean(&comp)));
     }
-    r
+    Ok(r)
 }
 
 /// §6.3 — scheduler (issue queue) capacity.
-pub fn iq_capacity(args: &RunArgs) -> Report {
-    let engine = args.engine().build();
-    let matrix = engine.run(&iq_capacity_runs());
+pub fn iq_capacity(args: &RunArgs) -> Result<Report, MgError> {
+    let engine = args.engine().try_build()?;
+    let matrix = engine.try_run(&iq_capacity_runs())?;
     let mut r = Report::new("iq_capacity");
     r.line("== §6.3: performance vs issue-queue size (relative to 50-entry baseline) ==");
     for (suite, members) in matrix.by_suite() {
@@ -411,11 +410,11 @@ pub fn iq_capacity(args: &RunArgs) -> Report {
             r.line(format!("gmean @{iq}: baseline {:.3}  intmem {:.3}", gmean(b), gmean(m)));
         }
     }
-    r
+    Ok(r)
 }
 
 // ---------------------------------------------------------------------------
-// perf — the benchmark driver (formerly the `perf_report` binary).
+// perf — the benchmark driver.
 // ---------------------------------------------------------------------------
 
 /// One timed experiment row of the perf report.
@@ -483,17 +482,17 @@ fn perf_engine(
     quick: bool,
     workloads: Option<&[&str]>,
     fuse: bool,
-) -> (Engine, f64) {
+) -> Result<(Engine, f64), MgError> {
     let mut b = Engine::builder().quick(quick).cache(false).fuse(fuse);
     if let Some(t) = args.threads {
         b = b.threads(t);
     }
     if let Some(w) = workloads {
-        b = b.workloads(w);
+        b = b.try_workloads(w)?;
     }
     let t = Instant::now();
-    let engine = b.build();
-    (engine, t.elapsed().as_secs_f64() * 1e3)
+    let engine = b.try_build()?;
+    Ok((engine, t.elapsed().as_secs_f64() * 1e3))
 }
 
 fn perf_sim_experiment(
@@ -503,15 +502,15 @@ fn perf_sim_experiment(
     workloads: Option<&[&str]>,
     runs: &[Run],
     fuse: bool,
-) -> Measurement {
-    let (engine, prep_ms) = perf_engine(args, quick, workloads, fuse);
+) -> Result<Measurement, MgError> {
+    let (engine, prep_ms) = perf_engine(args, quick, workloads, fuse)?;
     let t = Instant::now();
-    let matrix = engine.run(runs);
+    let matrix = engine.try_run(runs)?;
     let run_ms = t.elapsed().as_secs_f64() * 1e3;
     let stats = matrix.rows.iter().flat_map(|r| r.stats.iter());
     let (sim_cycles, sim_ops) = stats.fold((0, 0), |(c, o), s| (c + s.cycles, o + s.ops));
     eprintln!("{name:14} prep {prep_ms:8.1} ms  run {run_ms:8.1} ms  {sim_cycles:>10} cycles");
-    Measurement {
+    Ok(Measurement {
         name,
         prep_ms,
         run_ms,
@@ -519,7 +518,7 @@ fn perf_sim_experiment(
         sim_ops,
         speedup: None,
         selection_ms: None,
-    }
+    })
 }
 
 /// A synthetic selection workload far past the real candidate pools: many
@@ -579,10 +578,10 @@ fn perf_select_stress(quick: bool) -> Measurement {
 /// selector wall-clock, no simulation. Each row's JSON carries an
 /// explicit `selection_time_ms` field next to the generic timings, so
 /// the committed trajectory tracks selector cost per family.
-fn perf_selection_policies(args: &RunArgs, quick: bool) -> Vec<Measurement> {
-    let (engine, _prep_ms) = perf_engine(args, quick, None, false);
+fn perf_selection_policies(args: &RunArgs, quick: bool) -> Result<Vec<Measurement>, MgError> {
+    let (engine, _prep_ms) = perf_engine(args, quick, None, false)?;
     let policy = Policy::integer_memory();
-    mg_policy::all_selectors()
+    Ok(mg_policy::all_selectors()
         .iter()
         .map(|s| {
             let t = Instant::now();
@@ -611,18 +610,18 @@ fn perf_selection_policies(args: &RunArgs, quick: bool) -> Vec<Measurement> {
                 selection_ms: Some(run_ms),
             }
         })
-        .collect()
+        .collect())
 }
 
-fn perf_fig5_experiment(args: &RunArgs, quick: bool) -> Measurement {
-    let (engine, prep_ms) = perf_engine(args, quick, None, false);
+fn perf_fig5_experiment(args: &RunArgs, quick: bool) -> Result<Measurement, MgError> {
+    let (engine, prep_ms) = perf_engine(args, quick, None, false)?;
     let t = Instant::now();
     let selected = fig5_selection_sweep(&engine);
     let run_ms = t.elapsed().as_secs_f64() * 1e3;
     eprintln!(
         "fig5_coverage  prep {prep_ms:8.1} ms  run {run_ms:8.1} ms  {selected} instances chosen"
     );
-    Measurement {
+    Ok(Measurement {
         name: "fig5_coverage",
         prep_ms,
         run_ms,
@@ -630,7 +629,7 @@ fn perf_fig5_experiment(args: &RunArgs, quick: bool) -> Measurement {
         sim_ops: selected,
         speedup: None,
         selection_ms: None,
-    }
+    })
 }
 
 /// One full artifact sweep against the persistent cache: every fig5
@@ -643,28 +642,27 @@ fn perf_artifact_sweep(
     args: &RunArgs,
     quick: bool,
     dir: &std::path::Path,
-) -> Measurement {
+) -> Result<Measurement, MgError> {
     let mut b = Engine::builder().quick(quick).cache_dir(dir);
     if let Some(t) = args.threads {
         b = b.threads(t);
     }
     let t = Instant::now();
-    let engine = b.build();
+    let engine = b.try_build()?;
     let prep_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
     let selected = fig5_selection_sweep(&engine);
-    let artifact_ops: u64 = engine
+    let artifact_ops = engine
         .map(|p| {
-            let base = p.base_trace().len() as u64;
-            let img =
-                p.image(&Policy::integer_memory(), RewriteStyle::NopPadded).trace.len() as u64;
-            base + img
+            let base = p.try_base_trace()?.len() as u64;
+            let img = p.try_image(&Policy::integer_memory(), RewriteStyle::NopPadded)?;
+            Ok(base + img.trace.len() as u64)
         })
-        .iter()
-        .sum();
+        .into_iter()
+        .sum::<Result<u64, HarnessError>>()?;
     let run_ms = t.elapsed().as_secs_f64() * 1e3;
     eprintln!("{name} prep {prep_ms:8.1} ms  run {run_ms:8.1} ms  {selected} instances chosen");
-    Measurement {
+    Ok(Measurement {
         name,
         prep_ms,
         run_ms,
@@ -672,15 +670,15 @@ fn perf_artifact_sweep(
         sim_ops: selected + artifact_ops,
         speedup: None,
         selection_ms: None,
-    }
+    })
 }
 
 /// Extracts the recorded mode and `(name, wall_ms)` pairs from a report
 /// previously written by this driver (line-oriented scan; not a general
 /// JSON parser).
-fn read_perf_baseline(path: &str) -> (String, Vec<(String, f64)>) {
+fn read_perf_baseline(path: &str) -> Result<(String, Vec<(String, f64)>), MgError> {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+        .map_err(|e| MgError::io(format!("cannot read baseline {path}: {e}")).with_source(e))?;
     let mut mode = String::new();
     let mut rows = Vec::new();
     for line in text.lines() {
@@ -703,34 +701,56 @@ fn read_perf_baseline(path: &str) -> (String, Vec<(String, f64)>) {
             rows.push((name, wall));
         }
     }
-    (mode, rows)
+    Ok((mode, rows))
 }
 
 /// The benchmark driver: times every figure sweep and the artifact cache
 /// (cold vs warm), writes `BENCH_pipeline.json`, and optionally gates
 /// against a committed baseline. Prints nothing to stdout in text format
-/// (progress goes to stderr), exactly like the legacy `perf_report`
-/// binary; the structured formats expose the measurements as a table.
-pub fn perf(args: &RunArgs) -> Report {
+/// (progress goes to stderr); the structured formats expose the
+/// measurements as a table.
+///
+/// The baseline is read and checked before anything is measured, so a
+/// bad `--baseline` fails in milliseconds rather than after the pass.
+pub fn perf(args: &RunArgs) -> Result<Report, MgError> {
     let quick = args.is_quick(true);
     let mode = if quick { "quick" } else { "full" };
-    eprintln!("perf_report: mode {mode}");
+    let baseline = match &args.baseline {
+        Some(path) => {
+            let (base_mode, rows) = read_perf_baseline(path)?;
+            // Quick and full wall clocks differ by an order of magnitude:
+            // comparing across modes is either a vacuous pass or a
+            // spurious failure, so refuse outright.
+            if base_mode != mode {
+                return Err(MgError::invalid_spec(format!(
+                    "baseline {path} was recorded in {base_mode:?} mode but this run is \
+                     {mode:?}; regenerate the baseline in the same mode"
+                )));
+            }
+            Some((path, rows))
+        }
+        None => None,
+    };
+    eprintln!("mg run perf: mode {mode}");
 
     // Per-experiment rows are measured with fusion **off**: they track
     // scalar simulator compute against the committed trajectory, and are
     // comparable across releases that predate fusion. The fused rows
     // below measure the fusion win explicitly.
-    let mut measurements = vec![
-        perf_fig5_experiment(args, quick),
-        perf_sim_experiment("fig6", args, quick, None, &fig6_runs(), false),
-        perf_sim_experiment("fig7", args, quick, Some(&FIG7_FOCUS), &fig7_runs(), false),
-        perf_sim_experiment("fig8_regfile", args, quick, None, &fig8_regfile_runs(), false),
-        perf_sim_experiment("fig8_bandwidth", args, quick, None, &fig8_bandwidth_runs(), false),
-        perf_sim_experiment("icache", args, quick, None, &icache_runs(), false),
-        perf_sim_experiment("iq_capacity", args, quick, None, &iq_capacity_runs(), false),
-        perf_select_stress(quick),
+    let mut measurements = vec![perf_fig5_experiment(args, quick)?];
+    let sweeps = [
+        ("fig6", None, fig6_runs()),
+        ("fig7", Some(&FIG7_FOCUS[..]), fig7_runs()),
+        ("fig8_regfile", None, fig8_regfile_runs()),
+        ("fig8_bandwidth", None, fig8_bandwidth_runs()),
+        ("icache", None, icache_runs()),
+        ("iq_capacity", None, iq_capacity_runs()),
     ];
-    measurements.extend(perf_selection_policies(args, quick));
+    for (name, workloads, runs) in &sweeps {
+        measurements.push(perf_sim_experiment(name, args, quick, *workloads, runs, false)?);
+    }
+    measurements.push(perf_select_stress(quick));
+    measurements.extend(perf_selection_policies(args, quick)?);
 
     // Fused trajectory: both fig8 sweeps — the widest config sweeps in
     // the registry — as one fused run, plus the fused-over-scalar
@@ -742,7 +762,7 @@ pub fn perf(args: &RunArgs) -> Report {
         .sum();
     let mut fig8_fused_runs = fig8_regfile_runs();
     fig8_fused_runs.extend(fig8_bandwidth_runs());
-    let fused = perf_sim_experiment("fig8_fused", args, quick, None, &fig8_fused_runs, true);
+    let fused = perf_sim_experiment("fig8_fused", args, quick, None, &fig8_fused_runs, true)?;
     let fused_speedup = if fused.run_ms > 0.0 { scalar_fig8_ms / fused.run_ms } else { 0.0 };
     eprintln!("fused_speedup  {fused_speedup:.2}x (fig8 sweeps, fused over scalar)");
     let fused_run_ms = fused.run_ms;
@@ -765,8 +785,8 @@ pub fn perf(args: &RunArgs) -> Report {
         let dir = PrepCache::default_root().join("perf-sweep");
         let sweep_cache = PrepCache::new(&dir);
         let _ = sweep_cache.clear();
-        measurements.push(perf_artifact_sweep("artifacts_cold", args, quick, &dir));
-        measurements.push(perf_artifact_sweep("artifacts_warm", args, quick, &dir));
+        measurements.push(perf_artifact_sweep("artifacts_cold", args, quick, &dir)?);
+        measurements.push(perf_artifact_sweep("artifacts_warm", args, quick, &dir)?);
         let _ = sweep_cache.clear();
     }
 
@@ -777,7 +797,7 @@ pub fn perf(args: &RunArgs) -> Report {
         rows.join(",\n")
     );
     std::fs::write(&args.out, &json)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out));
+        .map_err(|e| MgError::io(format!("cannot write {}: {e}", args.out)).with_source(e))?;
     eprintln!("wrote {}", args.out);
 
     let mut status = 0;
@@ -795,16 +815,7 @@ pub fn perf(args: &RunArgs) -> Report {
             );
         }
     }
-    if let Some(path) = &args.baseline {
-        let (base_mode, baseline) = read_perf_baseline(path);
-        // Quick and full wall clocks differ by an order of magnitude:
-        // comparing across modes is either a vacuous pass or a spurious
-        // failure, so refuse outright.
-        assert_eq!(
-            base_mode, mode,
-            "baseline {path} was recorded in {base_mode:?} mode but this run is {mode:?}; \
-             regenerate the baseline in the same mode"
-        );
+    if let Some((path, baseline)) = &baseline {
         for m in &measurements {
             let Some((_, old)) = baseline.iter().find(|(n, _)| n == m.name) else {
                 eprintln!("note: {} absent from baseline {path}", m.name);
@@ -845,5 +856,53 @@ pub fn perf(args: &RunArgs) -> Report {
     }
     r.table(t);
     r.status = status;
-    r
+    Ok(r)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mg_api::MgErrorKind;
+    use std::path::PathBuf;
+
+    /// `perf` arguments writing into a per-test scratch directory.
+    fn perf_args(tag: &str, baseline: &str) -> (RunArgs, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("mg-perf-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("BENCH_pipeline.json");
+        let args = RunArgs {
+            quick: Some(true),
+            threads: Some(1),
+            no_cache: true,
+            out: out.display().to_string(),
+            baseline: Some(dir.join(baseline).display().to_string()),
+            ..RunArgs::default()
+        };
+        (args, out)
+    }
+
+    /// A missing `--baseline` is a typed I/O error raised before any
+    /// sweep runs: the report the measurement pass writes never appears.
+    #[test]
+    fn perf_with_missing_baseline_fails_before_measuring() {
+        let (args, out) = perf_args("missing", "missing.json");
+        let err = perf(&args).expect_err("a missing baseline is an error");
+        assert_eq!(err.kind(), MgErrorKind::Io, "{err}");
+        assert!(err.message().contains("missing.json"), "{err}");
+        assert!(!out.exists(), "no measurement pass ran");
+        let _ = std::fs::remove_dir_all(out.parent().unwrap());
+    }
+
+    /// A baseline recorded in the other mode is refused up front too.
+    #[test]
+    fn perf_with_other_mode_baseline_fails_before_measuring() {
+        let (args, out) = perf_args("mode", "full.json");
+        let baseline = args.baseline.clone().unwrap();
+        std::fs::write(&baseline, "{\n  \"mode\": \"full\",\n  \"experiments\": []\n}\n")
+            .unwrap();
+        let err = perf(&args).expect_err("a full-mode baseline cannot gate a quick run");
+        assert_eq!(err.kind(), MgErrorKind::InvalidSpec, "{err}");
+        assert!(!out.exists(), "no measurement pass ran");
+        let _ = std::fs::remove_dir_all(out.parent().unwrap());
+    }
 }

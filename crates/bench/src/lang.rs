@@ -13,7 +13,7 @@
 //! cache all see content-hashed `mgl/...` identities.
 
 use crate::cli::{parse_input, render, Format, Report, RunArgs, TableBlock};
-use mg_api::WorkloadSource;
+use mg_api::{MgError, WorkloadSource};
 use mg_core::{extract, rewrite, Policy, RewriteStyle};
 use mg_harness::{gmean, BuildError, ExtraSource, Run};
 use mg_lang::codegen::observe;
@@ -30,9 +30,13 @@ const INTERP_STEPS: u64 = 20_000_000;
 const SIM_STEPS: u64 = 200_000_000;
 
 /// Loads the built-in corpus plus (optionally) the `--lang FILE`
-/// program, which reports under its file stem. The error carries the
-/// documented exit status (74 I/O, 65 parse).
-fn load_programs(args: &RunArgs) -> Result<Vec<Arc<LangWorkload>>, (String, i32)> {
+/// program, which reports under its file stem.
+///
+/// # Errors
+///
+/// [`MgError`] of kind `io` if the file cannot be read, `parse` if it
+/// does not compile.
+fn load_programs(args: &RunArgs) -> Result<Vec<Arc<LangWorkload>>, MgError> {
     let mut programs: Vec<Arc<LangWorkload>> = corpus::all()
         .into_iter()
         .map(|(name, src)| {
@@ -41,14 +45,14 @@ fn load_programs(args: &RunArgs) -> Result<Vec<Arc<LangWorkload>>, (String, i32)
         .collect();
     if let Some(path) = &args.lang {
         let src = std::fs::read_to_string(path)
-            .map_err(|e| (format!("cannot read {path}: {e}"), 74))?;
+            .map_err(|e| MgError::io(format!("cannot read {path}: {e}")).with_source(e))?;
         let stem = Path::new(path)
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or("program")
             .to_string();
-        let wl =
-            LangWorkload::from_source(stem, &src).map_err(|e| (format!("{path}: {e}"), 65))?;
+        let wl = LangWorkload::from_source(stem, &src)
+            .map_err(|e| MgError::parse(format!("{path}: {e}")))?;
         programs.push(Arc::new(wl));
     }
     Ok(programs)
@@ -147,17 +151,10 @@ fn verify(wl: &LangWorkload, input: &Input) -> Result<Verification, String> {
 }
 
 /// `mg run lang` — the experiment registry's builder.
-pub fn lang_report(args: &RunArgs) -> Report {
+pub fn lang_report(args: &RunArgs) -> Result<Report, MgError> {
+    let programs = load_programs(args)?;
     let mut r = Report::new("lang");
     r.line("== mg-lang: compiled programs through the mini-graph pipeline ==");
-    let programs = match load_programs(args) {
-        Ok(p) => p,
-        Err((msg, code)) => {
-            r.line(format!("error: {msg}"));
-            r.status = code;
-            return r;
-        }
-    };
 
     r.blank_then("-- compilation --");
     let mut t = TableBlock::new(
@@ -165,22 +162,18 @@ pub fn lang_report(args: &RunArgs) -> Report {
         &["program", "stable id", "procs", "insts", "vregs", "spills", "divmod"],
     );
     for wl in &programs {
-        match wl.compile(&args.input) {
-            Ok(c) => t.row(vec![
-                wl.name().to_string(),
-                wl.stable_id(),
-                c.stats.procs.to_string(),
-                c.stats.insts.to_string(),
-                c.stats.vregs.to_string(),
-                c.stats.spills.to_string(),
-                if c.stats.uses_divmod { "yes" } else { "no" }.to_string(),
-            ]),
-            Err(e) => {
-                r.line(format!("error: {}: {e}", wl.name()));
-                r.status = 70;
-                return r;
-            }
-        }
+        let c = wl
+            .compile(&args.input)
+            .map_err(|e| MgError::exec(format!("{}: {e}", wl.name())))?;
+        t.row(vec![
+            wl.name().to_string(),
+            wl.stable_id(),
+            c.stats.procs.to_string(),
+            c.stats.insts.to_string(),
+            c.stats.vregs.to_string(),
+            c.stats.spills.to_string(),
+            if c.stats.uses_divmod { "yes" } else { "no" }.to_string(),
+        ]);
     }
     r.table(t);
 
@@ -190,26 +183,19 @@ pub fn lang_report(args: &RunArgs) -> Report {
         &["program", "checksum", "outputs", "compiled", "nop-padded", "compressed"],
     );
     for wl in &programs {
-        match verify(wl, &args.input) {
-            Ok(v) => {
-                if [v.sim, v.nop, v.compressed].contains(&"MISMATCH") {
-                    r.status = 1;
-                }
-                t.row(vec![
-                    wl.name().to_string(),
-                    v.checksum.to_string(),
-                    v.outputs.to_string(),
-                    v.sim.to_string(),
-                    v.nop.to_string(),
-                    v.compressed.to_string(),
-                ]);
-            }
-            Err(e) => {
-                r.line(format!("error: {}: {e}", wl.name()));
-                r.status = 70;
-                return r;
-            }
+        let v = verify(wl, &args.input)
+            .map_err(|e| MgError::exec(format!("{}: {e}", wl.name())))?;
+        if [v.sim, v.nop, v.compressed].contains(&"MISMATCH") {
+            r.status = 1;
         }
+        t.row(vec![
+            wl.name().to_string(),
+            v.checksum.to_string(),
+            v.outputs.to_string(),
+            v.sim.to_string(),
+            v.nop.to_string(),
+            v.compressed.to_string(),
+        ]);
     }
     r.table(t);
 
@@ -219,14 +205,7 @@ pub fn lang_report(args: &RunArgs) -> Report {
     for wl in &programs {
         b = b.extra_source(to_extra(wl));
     }
-    let engine = match b.try_workloads(&names).and_then(|b| b.try_build()) {
-        Ok(engine) => engine,
-        Err(e) => {
-            r.line(format!("error: {e}"));
-            r.status = 70;
-            return r;
-        }
-    };
+    let engine = b.try_workloads(&names)?.try_build()?;
     let runs = vec![
         Run::baseline(SimConfig::baseline()),
         Run::mini_graph(
@@ -236,7 +215,7 @@ pub fn lang_report(args: &RunArgs) -> Report {
         )
         .label("intmem"),
     ];
-    let matrix = engine.run(&runs);
+    let matrix = engine.try_run(&runs)?;
     let mut t = TableBlock::new("lang.matrix", &["program", "baseIPC", "intmem", "cov%"]);
     let mut speedups = Vec::new();
     for row in &matrix.rows {
@@ -252,7 +231,7 @@ pub fn lang_report(args: &RunArgs) -> Report {
     }
     r.table(t);
     r.line(format!("gmean intmem speedup: {:.3}", gmean(&speedups)));
-    r
+    Ok(r)
 }
 
 /// `mg compile FILE.mgl` — compiles one source file and prints the

@@ -39,7 +39,7 @@
 use crate::cli::{self, Format, RunArgs};
 use crate::serve_cli;
 use crate::soak::{self, SoakJob};
-use mg_api::Session;
+use mg_api::{MgError, Session};
 use mg_cluster::{Cluster, ClusterConfig, ShardFactory};
 use mg_fault::{points, FaultPlan};
 use mg_serve::{Client, ServerConfig};
@@ -143,14 +143,14 @@ pub fn schedule(
 fn references(
     plan: &[Vec<(&'static str, Format)>],
     quick: bool,
-) -> BTreeMap<(&'static str, Format), Arc<String>> {
+) -> Result<BTreeMap<(&'static str, Format), Arc<String>>, MgError> {
     let mut reports: BTreeMap<&'static str, cli::Report> = BTreeMap::new();
     let mut refs = BTreeMap::new();
     for &(experiment, fmt) in plan.iter().flatten() {
         if refs.contains_key(&(experiment, fmt)) {
             continue;
         }
-        let report = reports.entry(experiment).or_insert_with(|| {
+        if !reports.contains_key(experiment) {
             let args = RunArgs {
                 quick: Some(quick),
                 input: cli::parse_input("tiny").expect("tiny input"),
@@ -158,11 +158,11 @@ fn references(
                 ..RunArgs::default()
             };
             let spec = cli::experiment(experiment).expect("registered experiment");
-            (spec.build)(&args)
-        });
-        refs.insert((experiment, fmt), Arc::new(cli::render(report, fmt)));
+            reports.insert(experiment, (spec.build)(&args)?);
+        }
+        refs.insert((experiment, fmt), Arc::new(cli::render(&reports[experiment], fmt)));
     }
-    refs
+    Ok(refs)
 }
 
 /// Turns one client's schedule row into harness jobs carrying their
@@ -284,7 +284,7 @@ pub fn run_loadgen(opts: &LoadgenOpts) -> Result<LoadgenReport, String> {
         "mg loadgen: computing fault-free references ({} distinct cells)",
         plan.iter().flatten().collect::<std::collections::BTreeSet<_>>().len()
     );
-    let refs = references(&plan, opts.quick);
+    let refs = references(&plan, opts.quick).map_err(|e| format!("reference run: {e}"))?;
 
     // The cluster under load: per-shard cache roots behind one shared
     // read-through root, all under a throwaway scratch directory.

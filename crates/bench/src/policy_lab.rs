@@ -24,6 +24,7 @@
 //! artifacts.
 
 use crate::cli::{Report, RunArgs, TableBlock};
+use mg_api::MgError;
 use mg_core::{Policy, RewriteStyle, Selection, Selector};
 use mg_harness::{gmean, Prep};
 use mg_policy::{all_selectors, DpCertifier};
@@ -75,7 +76,7 @@ fn run_workload(prep: &Prep, policy: &Policy, selectors: &[Arc<dyn Selector>]) -
 }
 
 /// `mg run policy_lab` — the experiment registry's builder.
-pub fn policy_lab(args: &RunArgs) -> Report {
+pub fn policy_lab(args: &RunArgs) -> Result<Report, MgError> {
     let mut r = Report::new("policy_lab");
     r.line("== selection-policy lab: greedy / weighted / tiling / exact DP ==");
 
@@ -88,14 +89,7 @@ pub fn policy_lab(args: &RunArgs) -> Report {
     for x in crate::lang::corpus_extras() {
         b = b.extra_source(x);
     }
-    let engine = match b.try_build() {
-        Ok(engine) => engine,
-        Err(e) => {
-            r.line(format!("error: {e}"));
-            r.status = 70;
-            return r;
-        }
-    };
+    let engine = b.try_build()?;
 
     r.blank_then("-- per-workload matrix (integer_memory policy, nop-padded images) --");
     // The visible tables carry only deterministic quick-mode columns
@@ -205,5 +199,5 @@ pub fn policy_lab(args: &RunArgs) -> Report {
             beats_greedy.iter().map(|(w, f)| format!("{f} on {w}")).collect();
         r.line(format!("non-greedy coverage wins: {}", wins.join(", ")));
     }
-    r
+    Ok(r)
 }

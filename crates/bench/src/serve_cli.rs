@@ -103,8 +103,9 @@ fn run_request(
         progress: Some(progress),
         ..RunArgs::default()
     };
-    // A panicking builder must not take the worker thread (and every
-    // batched client) down with it; surface it as a typed error.
+    // Builders return harness failures as typed errors. A panic is a
+    // bug, but it still must not take the worker thread (and every
+    // batched client) down with it; surface it as a typed error too.
     let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (spec.build)(&args)))
         .map_err(|panic| {
             let msg = panic
@@ -113,7 +114,7 @@ fn run_request(
                 .or_else(|| panic.downcast_ref::<&str>().copied())
                 .unwrap_or("experiment builder panicked");
             MgError::exec(format!("experiment {:?} failed: {msg}", req.experiment))
-        })?;
+        })??;
     Ok(RunOutcome { status: report.status, payload: cli::render(&report, format) })
 }
 

@@ -39,7 +39,7 @@ fn direct_mg_run_stdout() -> String {
         ..RunArgs::default()
     };
     let spec = cli::experiment("fig7").unwrap();
-    cli::render(&(spec.build)(&args), Format::Json)
+    cli::render(&(spec.build)(&args).expect("fig7 builds"), Format::Json)
 }
 
 fn stat(pairs: &[(String, u64)], name: &str) -> u64 {

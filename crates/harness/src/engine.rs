@@ -13,15 +13,18 @@
 //! use mg_core::{Policy, RewriteStyle};
 //! use mg_uarch::SimConfig;
 //!
-//! let engine = Engine::builder().workloads(&["crc32", "rgba.conv"]).build();
-//! let matrix = engine.run(&[
+//! # fn main() -> Result<(), mg_harness::HarnessError> {
+//! let engine = Engine::builder().try_workloads(&["crc32", "rgba.conv"])?.try_build()?;
+//! let matrix = engine.try_run(&[
 //!     Run::baseline(SimConfig::baseline()),
 //!     Run::mini_graph(Policy::integer_memory(), RewriteStyle::NopPadded,
 //!                     SimConfig::mg_integer_memory()),
-//! ]);
+//! ])?;
 //! for row in &matrix.rows {
 //!     println!("{}: {:.3}x", row.prep.name, row.speedup_over(0, 1));
 //! }
+//! # Ok(())
+//! # }
 //! ```
 
 use crate::error::{panic_message, HarnessError};
@@ -30,7 +33,7 @@ use crate::prep::{by_suite, BuildFn, Prep};
 use crate::prep_cache::PrepCache;
 use crate::quick::{apply_quick, quick_mode};
 use crate::report::speedup;
-use mg_core::{Policy, RewriteStyle};
+use mg_core::{GreedySelector, Policy, RewriteStyle};
 use mg_uarch::{SimConfig, SimStats};
 use mg_workloads::{Input, Suite, Workload};
 use std::panic::AssertUnwindSafe;
@@ -87,7 +90,7 @@ impl Run {
 pub struct RunRow {
     /// The prepared workload this row belongs to.
     pub prep: Arc<Prep>,
-    /// One result per run spec, in the order given to [`Engine::run`].
+    /// One result per run spec, in the order given to [`Engine::try_run`].
     pub stats: Vec<SimStats>,
 }
 
@@ -134,7 +137,7 @@ impl RunMatrix {
 /// cannot replay artifacts across a content change).
 #[derive(Clone)]
 pub struct ExtraSource {
-    /// Workload name (resolvable via [`EngineBuilder::workloads`]).
+    /// Workload name (resolvable via [`EngineBuilder::try_workloads`]).
     pub name: String,
     /// Owning suite (used for report grouping).
     pub suite: Suite,
@@ -175,7 +178,7 @@ pub struct CellDone {
     pub ops: u64,
 }
 
-/// Callback invoked by [`Engine::run`] for every cell the moment a worker
+/// Callback invoked by [`Engine::try_run`] for every cell the moment a worker
 /// completes it. Called from worker threads, concurrently and in
 /// completion order; the deterministic matrix itself is unaffected.
 /// `mg serve` uses this to stream per-cell progress to clients while a
@@ -222,21 +225,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Restricts the engine to the named registered workloads, in the
-    /// given order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a name is not registered.
-    pub fn workloads(self, names: &[&str]) -> EngineBuilder {
-        self.try_workloads(names).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`EngineBuilder::workloads`]: names resolve against the
-    /// registry first, then against any [`EngineBuilder::extra_source`]
-    /// registrations (among duplicate extra names the **last**
-    /// registration wins, matching the default-set and
-    /// [`EngineBuilder::suite`] resolution).
+    /// Restricts the engine to the named workloads, in the given order.
+    /// Names resolve against the registry first, then against any
+    /// [`EngineBuilder::extra_source`] registrations (among duplicate
+    /// extra names the **last** registration wins, matching the
+    /// default-set and [`EngineBuilder::suite`] resolution).
     ///
     /// # Errors
     ///
@@ -389,7 +382,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Registers a per-cell completion callback for [`Engine::run`] (see
+    /// Registers a per-cell completion callback for [`Engine::try_run`] (see
     /// [`CellObserver`]).
     pub fn observer(mut self, observer: CellObserver) -> EngineBuilder {
         self.observer = Some(observer);
@@ -412,11 +405,7 @@ impl EngineBuilder {
     /// op limit: its simulations replay at most that prefix, so
     /// functionally executing (and storing) the rest of the committed
     /// path would be pure waste.
-    pub fn build(self) -> Engine {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`EngineBuilder::build`] — the `mg_api` session path.
+    ///
     /// Preparation failures (build, profiling, a panicking out-of-tree
     /// source) surface as [`HarnessError`] instead of unwinding the
     /// worker scope; pool slots stay retryable after a failure.
@@ -589,13 +578,9 @@ impl Engine {
     /// dimension, so concurrently claimed cells land on distinct
     /// workloads and the per-[`Prep`] artifact caches see one miss per
     /// (policy, style) each instead of racing duplicate computations.
-    pub fn run(&self, runs: &[Run]) -> RunMatrix {
-        self.try_run(runs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Engine::run`] — the `mg_api` session path. A failing
-    /// (or panicking) cell fails the whole matrix with the first error in
-    /// claim order; successful sibling cells are discarded.
+    ///
+    /// A failing (or panicking) cell fails the whole matrix with the first
+    /// error in claim order; successful sibling cells are discarded.
     ///
     /// # Errors
     ///
@@ -674,7 +659,7 @@ impl Engine {
             let stats = std::panic::catch_unwind(AssertUnwindSafe(|| match image {
                 Image::Baseline => prep.try_run_baseline_sweep(&cfgs),
                 Image::MiniGraph { policy, style } => {
-                    prep.try_run_policy_sweep(policy, *style, &cfgs)
+                    prep.try_run_selector_sweep(&GreedySelector, policy, *style, &cfgs)
                 }
             }))
             .unwrap_or_else(|panic| {

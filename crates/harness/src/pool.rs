@@ -112,18 +112,10 @@ impl PrepPool {
 
     /// Returns the pooled prep for `key`, preparing it with `prepare` if
     /// (and only if) no other caller has. Concurrent callers with the
-    /// same key block until the single preparation finishes and then
-    /// share the resulting [`Arc`].
-    pub fn get_or_prepare(&self, key: PoolKey, prepare: impl FnOnce() -> Prep) -> Arc<Prep> {
-        // One initialization discipline for both paths (the slot's init
-        // lock), so mixing the panicking and fallible entry points on a
-        // key can never duplicate a preparation.
-        self.try_get_or_prepare(key, || Ok(prepare())).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible, panic-containing [`PrepPool::get_or_prepare`] — the
-    /// `mg_api` session path, where `prepare` may run an out-of-tree
-    /// workload source.
+    /// same key block on the slot's init lock until the single successful
+    /// preparation finishes and then share the resulting [`Arc`].
+    /// `prepare` may run an out-of-tree workload source (the `mg_api`
+    /// session path), so it is both fallible and panic-contained.
     ///
     /// A `prepare` that returns `Err` leaves the slot **uninitialized**
     /// (errors are not cached: a transient failure — say, a source
@@ -131,10 +123,7 @@ impl PrepPool {
     /// `prepare` that *panics* is caught here so it cannot unwind through
     /// the engine's worker scope, and likewise leaves the slot
     /// retryable; the panic is reported as [`HarnessError::Panicked`],
-    /// the closest thing to a "poisoned" entry this pool has. The
-    /// exactly-once guarantee matches [`PrepPool::get_or_prepare`]:
-    /// concurrent callers with the same key block on the slot's init
-    /// lock until the single successful preparation finishes.
+    /// the closest thing to a "poisoned" entry this pool has.
     ///
     /// # Errors
     ///
@@ -262,7 +251,7 @@ mod tests {
 
     fn tiny_prep(name: &str) -> Prep {
         let w = mg_workloads::by_name(name).expect("registered");
-        Prep::new(&w, &Input::tiny())
+        Prep::try_new(&w, &Input::tiny()).expect("prepares")
     }
 
     fn key(name: &str, budget: u64) -> PoolKey {
@@ -273,12 +262,16 @@ mod tests {
     #[test]
     fn pool_prepares_once_per_key_and_counts() {
         let pool = Arc::new(PrepPool::new());
-        let p1 = pool.get_or_prepare(key("crc32", 1000), || tiny_prep("crc32"));
-        let p2 = pool.get_or_prepare(key("crc32", 1000), || panic!("must not re-prepare"));
+        let p1 =
+            pool.try_get_or_prepare(key("crc32", 1000), || Ok(tiny_prep("crc32"))).unwrap();
+        let p2 = pool
+            .try_get_or_prepare(key("crc32", 1000), || panic!("must not re-prepare"))
+            .unwrap();
         assert!(Arc::ptr_eq(&p1, &p2), "same warm prep");
         assert_eq!((pool.prepared(), pool.reused()), (1, 1));
         // A different budget is a different prep.
-        let p3 = pool.get_or_prepare(key("crc32", 2000), || tiny_prep("crc32"));
+        let p3 =
+            pool.try_get_or_prepare(key("crc32", 2000), || Ok(tiny_prep("crc32"))).unwrap();
         assert!(!Arc::ptr_eq(&p1, &p3));
         assert_eq!((pool.prepared(), pool.reused()), (2, 1));
         assert_eq!(pool.len(), 2);
@@ -293,10 +286,11 @@ mod tests {
                 let pool = Arc::clone(&pool);
                 let prepared = Arc::clone(&prepared);
                 scope.spawn(move || {
-                    pool.get_or_prepare(key("bitcount", 500), || {
+                    pool.try_get_or_prepare(key("bitcount", 500), || {
                         prepared.fetch_add(1, Ordering::Relaxed);
-                        tiny_prep("bitcount")
-                    });
+                        Ok(tiny_prep("bitcount"))
+                    })
+                    .expect("prepares");
                 });
             }
         });
@@ -304,7 +298,7 @@ mod tests {
         assert_eq!(pool.prepared(), 1);
         assert_eq!(pool.reused(), 3);
         assert_eq!(
-            pool.get_or_prepare(key("bitcount", 500), || unreachable!()).suite,
+            pool.try_get_or_prepare(key("bitcount", 500), || unreachable!()).unwrap().suite,
             Suite::MiBench
         );
     }

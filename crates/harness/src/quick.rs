@@ -1,12 +1,10 @@
-//! Quick-mode plumbing and the tiny argument parser the experiment
-//! binaries share.
+//! Quick-mode plumbing.
 //!
 //! Quick mode caps simulated operations per run so every experiment
 //! finishes in seconds. It is controlled by the `MG_QUICK` environment
 //! variable (`1`/`true`/`yes`) — an explicit channel that criterion
 //! wrappers and test harnesses cannot mis-parse from argv — or by the
-//! `--quick` flag of the experiment binaries themselves, which parse
-//! their own (known) arguments through [`CliArgs`].
+//! `--quick` flag of `mg run`, which parses its own argv.
 
 use mg_uarch::SimConfig;
 
@@ -15,8 +13,8 @@ pub const QUICK_MAX_OPS: u64 = 30_000;
 
 /// Whether the `MG_QUICK` environment flag requests quick mode.
 ///
-/// Deliberately does **not** scan `std::env::args`: binaries opt into the
-/// `--quick` flag via [`CliArgs`], while library/bench/test contexts
+/// Deliberately does **not** scan `std::env::args`: the `mg` binary
+/// parses its own `--quick` flag, while library/bench/test contexts
 /// (whose argv belongs to their harness) can only be switched through the
 /// environment.
 pub fn quick_mode() -> bool {
@@ -30,62 +28,5 @@ pub fn quick_mode() -> bool {
 pub fn apply_quick(cfg: &mut SimConfig, quick: bool) {
     if quick {
         cfg.max_ops = QUICK_MAX_OPS;
-    }
-}
-
-/// Arguments shared by the experiment binaries.
-#[derive(Clone, Debug, Default)]
-pub struct CliArgs {
-    /// `--quick` (or `MG_QUICK=1`): cap simulated operations per run.
-    pub quick: bool,
-    /// `--best`: extra per-benchmark best-policy report (fig7 only).
-    pub best: bool,
-    /// `--threads N`: worker-thread override.
-    pub threads: Option<usize>,
-    /// `--no-cache` (or `MG_NO_CACHE=1`): disable the persistent artifact
-    /// cache under `target/mg-cache/`.
-    pub no_cache: bool,
-}
-
-impl CliArgs {
-    /// Parses the binary's own argv (skipping the program name).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on unknown arguments, so typos fail
-    /// loudly instead of silently running the full-size experiment.
-    pub fn parse() -> CliArgs {
-        let mut args = CliArgs { quick: quick_mode(), ..CliArgs::default() };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--quick" => args.quick = true,
-                "--best" => args.best = true,
-                "--no-cache" => args.no_cache = true,
-                "--threads" => {
-                    let n = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads requires a positive integer");
-                    args.threads = Some(n);
-                }
-                other => panic!(
-                    "unknown argument {other:?} (expected --quick, --best, --no-cache, \
-                     or --threads N)"
-                ),
-            }
-        }
-        args
-    }
-
-    /// An engine builder pre-configured from these arguments. The
-    /// persistent artifact cache is on by default for binaries; `--no-cache`
-    /// (or `MG_NO_CACHE=1`) turns it off.
-    pub fn engine(&self) -> crate::engine::EngineBuilder {
-        let mut b = crate::engine::Engine::builder().quick(self.quick).cache(!self.no_cache);
-        if let Some(t) = self.threads {
-            b = b.threads(t);
-        }
-        b
     }
 }

@@ -11,7 +11,7 @@
 //! mangled cache must recompute bit-identical artifacts.
 
 use mg_core::{Policy, RewriteStyle};
-use mg_harness::{Prep, PrepCache};
+use mg_harness::{HarnessError, Prep, PrepCache};
 use mg_isa::wire;
 use mg_workloads::Input;
 use std::fs;
@@ -40,31 +40,31 @@ fn cache_files(root: &Path) -> Vec<PathBuf> {
 
 /// Builds a cached prep of `crc32` on the tiny input and fills the
 /// cache with all three artifact kinds.
-fn populated_prep(cache: &Arc<PrepCache>) -> Prep {
+fn populated_prep(cache: &Arc<PrepCache>) -> Result<Prep, HarnessError> {
     let w = mg_workloads::by_name("crc32").expect("registered");
-    let prep = Prep::new(&w, &Input::tiny())
+    let prep = Prep::try_new(&w, &Input::tiny())?
         .with_trace_budget(BUDGET)
         .with_cache(Some(Arc::clone(cache)));
     let policy = Policy::integer_memory();
     let _ = prep.select(&policy);
-    let _ = prep.base_trace();
-    let _ = prep.image(&policy, RewriteStyle::NopPadded);
-    prep
+    let _ = prep.try_base_trace()?;
+    let _ = prep.try_image(&policy, RewriteStyle::NopPadded)?;
+    Ok(prep)
 }
 
 #[test]
-fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() {
+fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() -> Result<(), HarnessError> {
     let root = std::env::temp_dir().join(format!("mg-cache-corrupt-{}", std::process::id()));
     let cache = Arc::new(PrepCache::new(&root));
     cache.clear().expect("fresh cache root");
     let policy = Policy::integer_memory();
 
-    let prep = populated_prep(&cache);
+    let prep = populated_prep(&cache)?;
     let fp = prep.fingerprint();
 
     // Golden copies for bit-identity after recomputation.
     let golden_sel = wire::to_bytes(&*prep.select(&policy));
-    let golden_trace = wire::to_bytes(&*prep.base_trace());
+    let golden_trace = wire::to_bytes(&*prep.try_base_trace()?);
 
     let files = cache_files(&root);
     assert!(files.len() >= 3, "selection + trace + image cached, got {files:?}");
@@ -143,7 +143,7 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() {
         bytes.truncate(keep);
         fs::write(file, &bytes).unwrap();
     }
-    let fresh = populated_prep(&cache);
+    let fresh = populated_prep(&cache)?;
     assert_eq!(fresh.fingerprint(), fp, "same prep coordinates, same fingerprint");
     assert_eq!(
         wire::to_bytes(&*fresh.select(&policy)),
@@ -151,11 +151,12 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() {
         "recomputed selection is bit-identical"
     );
     assert_eq!(
-        wire::to_bytes(&*fresh.base_trace()),
+        wire::to_bytes(&*fresh.try_base_trace()?),
         golden_trace,
         "recomputed trace is bit-identical"
     );
     // And the recomputation healed the cache: artifacts load again.
     assert!(cache.load_selection(fp, &policy).is_some(), "overwritten on recompute");
     cache.clear().unwrap();
+    Ok(())
 }

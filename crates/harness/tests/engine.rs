@@ -3,7 +3,7 @@
 //! registered workload one stage past preparation.
 
 use mg_core::{Policy, RewriteStyle};
-use mg_harness::{Engine, Prep, Run};
+use mg_harness::{Engine, HarnessError, Prep, Run};
 use mg_uarch::SimConfig;
 use mg_workloads::Input;
 
@@ -36,22 +36,22 @@ const WORKLOADS: [&str; 5] = ["bitcount", "crc32", "rgba.conv", "adpcm.enc", "mc
 /// bit-identical `SimStats` to a fully sequential run over the same
 /// (workload × config) matrix.
 #[test]
-fn parallel_matrix_matches_sequential_exactly() {
+fn parallel_matrix_matches_sequential_exactly() -> Result<(), HarnessError> {
     let runs = spec_matrix();
     let parallel = Engine::builder()
-        .workloads(&WORKLOADS)
+        .try_workloads(&WORKLOADS)?
         .input(Input::tiny())
         .quick(false)
         .threads(4)
-        .build()
-        .run(&runs);
+        .try_build()?
+        .try_run(&runs)?;
     let sequential = Engine::builder()
-        .workloads(&WORKLOADS)
+        .try_workloads(&WORKLOADS)?
         .input(Input::tiny())
         .quick(false)
         .threads(1)
-        .build()
-        .run(&runs);
+        .try_build()?
+        .try_run(&runs)?;
 
     assert_eq!(parallel.rows.len(), sequential.rows.len());
     for (p, s) in parallel.rows.iter().zip(&sequential.rows) {
@@ -64,31 +64,33 @@ fn parallel_matrix_matches_sequential_exactly() {
             );
         }
     }
+    Ok(())
 }
 
 /// Repeated runs on one engine hit the artifact caches and still agree.
 #[test]
-fn cached_rerun_is_identical() {
+fn cached_rerun_is_identical() -> Result<(), HarnessError> {
     let runs = spec_matrix();
     let engine = Engine::builder()
-        .workloads(&["crc32", "bitcount"])
+        .try_workloads(&["crc32", "bitcount"])?
         .input(Input::tiny())
         .quick(false)
         .threads(2)
-        .build();
-    let first = engine.run(&runs);
-    let second = engine.run(&runs);
+        .try_build()?;
+    let first = engine.try_run(&runs)?;
+    let second = engine.try_run(&runs)?;
     for (a, b) in first.rows.iter().zip(&second.rows) {
         assert_eq!(a.stats, b.stats);
     }
+    Ok(())
 }
 
 /// Smoke test: every registered workload makes it one step past
-/// `Prep::new` — a policy selection drawn from its candidate pool — and
-/// the prep invariants hold.
+/// `Prep::try_new` — a policy selection drawn from its candidate pool —
+/// and the prep invariants hold.
 #[test]
-fn every_workload_preps_and_selects() {
-    let engine = Engine::builder().input(Input::tiny()).quick(false).build();
+fn every_workload_preps_and_selects() -> Result<(), HarnessError> {
+    let engine = Engine::builder().input(Input::tiny()).quick(false).try_build()?;
     assert!(engine.preps().len() >= 24, "every registered workload is prepared");
     let checks = engine.map(|p: &Prep| {
         let sel = p.select(&Policy::integer_memory());
@@ -99,28 +101,34 @@ fn every_workload_preps_and_selects() {
         assert!(candidates > 0, "{name}: no legal mini-graph candidates");
         assert!(saved <= total_dyn, "{name}: selection cannot save more than it covers");
     }
+    Ok(())
 }
 
 /// `Engine::map` preserves workload order regardless of thread count.
 #[test]
-fn map_results_are_in_workload_order() {
+fn map_results_are_in_workload_order() -> Result<(), HarnessError> {
     let engine = Engine::builder()
-        .workloads(&WORKLOADS)
+        .try_workloads(&WORKLOADS)?
         .input(Input::tiny())
         .quick(false)
         .threads(4)
-        .build();
+        .try_build()?;
     let names = engine.map(|p| p.name.clone());
     assert_eq!(names, WORKLOADS.map(String::from).to_vec());
+    Ok(())
 }
 
 /// Quick mode caps simulated work through the engine's tuner.
 #[test]
-fn quick_mode_caps_ops() {
-    let engine =
-        Engine::builder().workloads(&["bitcount"]).input(Input::tiny()).quick(true).build();
+fn quick_mode_caps_ops() -> Result<(), HarnessError> {
+    let engine = Engine::builder()
+        .try_workloads(&["bitcount"])?
+        .input(Input::tiny())
+        .quick(true)
+        .try_build()?;
     let tuned = engine.tune(SimConfig::baseline());
     assert_eq!(tuned.max_ops, mg_harness::QUICK_MAX_OPS);
-    let matrix = engine.run(&[Run::baseline(SimConfig::baseline())]);
+    let matrix = engine.try_run(&[Run::baseline(SimConfig::baseline())])?;
     assert!(matrix.rows[0].stats[0].ops <= mg_harness::QUICK_MAX_OPS);
+    Ok(())
 }

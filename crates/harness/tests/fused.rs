@@ -5,7 +5,7 @@
 //! images diverge in time almost immediately).
 
 use mg_core::{Policy, RewriteStyle};
-use mg_harness::{Engine, Run};
+use mg_harness::{Engine, HarnessError, Run};
 use mg_uarch::SimConfig;
 use mg_workloads::Input;
 
@@ -43,13 +43,18 @@ fn sweep() -> Vec<Run> {
 /// Every registry workload × tiny input × the sweep above: fused and
 /// scalar matrices must be bit-identical, cell for cell.
 #[test]
-fn fused_sweep_matches_scalar_on_every_workload() {
+fn fused_sweep_matches_scalar_on_every_workload() -> Result<(), HarnessError> {
     let runs = sweep();
     let build = |fuse: bool| {
-        Engine::builder().input(Input::tiny()).quick(false).fuse(fuse).build().run(&runs)
+        Engine::builder()
+            .input(Input::tiny())
+            .quick(false)
+            .fuse(fuse)
+            .try_build()?
+            .try_run(&runs)
     };
-    let fused = build(true);
-    let scalar = build(false);
+    let fused = build(true)?;
+    let scalar = build(false)?;
 
     assert_eq!(fused.labels, scalar.labels);
     assert!(fused.rows.len() >= 24, "every registered workload is covered");
@@ -59,4 +64,5 @@ fn fused_sweep_matches_scalar_on_every_workload() {
             assert_eq!(fs, ss, "{}/{label}: fused and scalar SimStats diverge", f.prep.name);
         }
     }
+    Ok(())
 }

@@ -13,11 +13,11 @@
 //! makes thread count irrelevant, and quick mode keeps the test fast.
 
 use mg_core::{Policy, RewriteStyle};
-use mg_harness::{Engine, Run};
+use mg_harness::{Engine, HarnessError, Run};
 use mg_uarch::{SimConfig, SimStats};
 
-fn golden_engine() -> Engine {
-    Engine::builder().workloads(&["crc32", "rgba.conv"]).threads(1).quick(true).build()
+fn golden_engine() -> Result<Engine, HarnessError> {
+    Engine::builder().try_workloads(&["crc32", "rgba.conv"])?.threads(1).quick(true).try_build()
 }
 
 fn golden_runs() -> [Run; 3] {
@@ -35,8 +35,8 @@ fn golden_runs() -> [Run; 3] {
 }
 
 #[test]
-fn golden_stats_are_bit_identical() {
-    let matrix = golden_engine().run(&golden_runs());
+fn golden_stats_are_bit_identical() -> Result<(), HarnessError> {
+    let matrix = golden_engine()?.try_run(&golden_runs())?;
     let expected: [(&str, [SimStats; 3]); 2] = [
         (
             "crc32",
@@ -203,4 +203,5 @@ fn golden_stats_are_bit_identical() {
             );
         }
     }
+    Ok(())
 }

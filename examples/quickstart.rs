@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policy = Policy::default();
     let engine = Engine::builder()
         .program("figure1", Suite::SpecInt, |_| (figure1_program(), Memory::new()))
-        .build();
+        .try_build()?;
     let prep = engine.prep("figure1").expect("registered above");
     let selection = prep.select(&policy);
     println!("candidates enumerated : {}", prep.candidates.len());
@@ -63,17 +63,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Rewrite: handles at anchors, pads elsewhere.
-    let image = prep.image(&policy, RewriteStyle::NopPadded);
+    let image = prep.try_image(&policy, RewriteStyle::NopPadded)?;
     println!("\nrewritten image plants {} handle(s):", selection.chosen.len());
     for line in image.program.listing().lines() {
         println!("  {line}");
     }
 
     // 4. Cycle-level comparison: baseline vs mini-graph machine.
-    let matrix = engine.run(&[
+    let matrix = engine.try_run(&[
         Run::baseline(SimConfig::baseline()),
         Run::mini_graph(policy, RewriteStyle::NopPadded, SimConfig::mg_integer_memory()),
-    ]);
+    ])?;
     let row = &matrix.rows[0];
     let (base, mg) = (&row.stats[0], &row.stats[1]);
     println!("\nbaseline : {} cycles, IPC {:.2}", base.cycles, base.ipc());

@@ -12,9 +12,9 @@ use mini_graphs::workloads::Input;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policy = Policy::integer_memory();
     let engine = Engine::builder()
-        .workloads(&["twolf.place", "adpcm.dec", "reed.enc", "bitcount"])
+        .try_workloads(&["twolf.place", "adpcm.dec", "reed.enc", "bitcount"])?
         .input(Input { seed: 0x5eed_0001, scale: 2 })
-        .build();
+        .try_build()?;
 
     // Speedup over represented instructions: with max_ops truncation the
     // two runs cover different amounts of program, so compare IPC.
@@ -22,14 +22,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.max_ops = 60_000;
         cfg
     };
-    let matrix = engine.run(&[
+    let matrix = engine.try_run(&[
         Run::baseline(cap(SimConfig::baseline())),
         Run::mini_graph(
             policy.clone(),
             RewriteStyle::NopPadded,
             cap(SimConfig::mg_integer_memory()),
         ),
-    ]);
+    ])?;
 
     println!(
         "{:<14} {:>8} {:>7} {:>9} {:>9} {:>8}",

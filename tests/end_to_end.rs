@@ -6,7 +6,7 @@
 
 use mini_graphs::core::{Policy, RewriteStyle};
 use mini_graphs::dise::expansion_engine;
-use mini_graphs::harness::{Engine, Prep, Run};
+use mini_graphs::harness::{Engine, HarnessError, Prep, Run};
 use mini_graphs::isa::reg;
 use mini_graphs::profile::run_program;
 use mini_graphs::uarch::SimConfig;
@@ -17,19 +17,19 @@ const RESULT_ADDR: u64 = 0x8000;
 /// Every workload: the rewritten (nop-padded and compressed) images must
 /// produce the same checksum as the original.
 #[test]
-fn all_workloads_rewrite_equivalently() {
+fn all_workloads_rewrite_equivalently() -> Result<(), HarnessError> {
     for w in all() {
         let input = Input::tiny();
-        let prep = Prep::new(&w, &input);
+        let prep = Prep::try_new(&w, &input)?;
         let policy = Policy::integer_memory();
 
-        let mut m0 = prep.fresh_memory();
+        let mut m0 = prep.try_fresh_memory()?;
         run_program(&prep.prog, &mut m0, None, 200_000_000).expect("original halts");
         let expected = m0.read_u64(RESULT_ADDR);
 
         for style in [RewriteStyle::NopPadded, RewriteStyle::Compressed] {
-            let image = prep.image(&policy, style);
-            let mut m1 = prep.fresh_memory();
+            let image = prep.try_image(&policy, style)?;
+            let mut m1 = prep.try_fresh_memory()?;
             run_program(&image.program, &mut m1, Some(&image.catalog), 200_000_000)
                 .unwrap_or_else(|e| panic!("{}: rewritten image failed: {e}", w.name));
             assert_eq!(
@@ -41,20 +41,21 @@ fn all_workloads_rewrite_equivalently() {
             );
         }
     }
+    Ok(())
 }
 
 /// The amplification identity: dynamic instructions represented by both
 /// traces agree, and the handle image fetches exactly `saved_slots` fewer
 /// operations.
 #[test]
-fn amplification_accounting_identity() {
+fn amplification_accounting_identity() -> Result<(), HarnessError> {
     let w = by_name("gsm.toast").expect("registered");
-    let prep = Prep::new(&w, &Input::tiny());
+    let prep = Prep::try_new(&w, &Input::tiny())?;
     let policy = Policy::integer_memory();
     let sel = prep.select(&policy);
 
-    let base = prep.base_trace();
-    let mg = prep.image(&policy, RewriteStyle::NopPadded);
+    let base = prep.try_base_trace()?;
+    let mg = prep.try_image(&policy, RewriteStyle::NopPadded)?;
 
     assert_eq!(base.insts, mg.trace.insts, "same original instruction stream");
     let fetched_saved = base.ops.len() as u64 - mg.trace.ops.len() as u64;
@@ -63,15 +64,19 @@ fn amplification_accounting_identity() {
         sel.saved_slots(),
         "pipeline slots saved must equal the selection's (n-1)·f estimate"
     );
+    Ok(())
 }
 
 /// Timing simulation is deterministic and the mini-graph machine commits
 /// the same number of instructions as the baseline.
 #[test]
-fn timing_simulation_consistency() {
+fn timing_simulation_consistency() -> Result<(), HarnessError> {
     let policy = Policy::integer_memory();
-    let engine =
-        Engine::builder().workloads(&["rgba.conv"]).input(Input::tiny()).quick(false).build();
+    let engine = Engine::builder()
+        .try_workloads(&["rgba.conv"])?
+        .input(Input::tiny())
+        .quick(false)
+        .try_build()?;
     let runs = [
         Run::baseline(SimConfig::baseline()),
         Run::mini_graph(
@@ -81,8 +86,8 @@ fn timing_simulation_consistency() {
         ),
     ];
 
-    let m1 = engine.run(&runs);
-    let m2 = engine.run(&runs);
+    let m1 = engine.try_run(&runs)?;
+    let m2 = engine.try_run(&runs)?;
     let (b1, b2) = (&m1.rows[0].stats[0], &m2.rows[0].stats[0]);
     assert_eq!(b1.cycles, b2.cycles, "deterministic");
 
@@ -92,6 +97,7 @@ fn timing_simulation_consistency() {
     assert_eq!(m.insts, b1.insts, "IPC numerators comparable");
     assert_eq!(m.ops + saved, b1.ops, "commit slots saved");
     assert!(m.handles > 0);
+    Ok(())
 }
 
 /// DISE fallback: expanding every handle of a rewritten workload image
@@ -99,10 +105,10 @@ fn timing_simulation_consistency() {
 /// always expand a mini-graph it doesn't understand" path). Uses r24..r27
 /// as the DISE register file — a workload whose kernels leave them dead.
 #[test]
-fn dise_expansion_fallback_round_trips() {
+fn dise_expansion_fallback_round_trips() -> Result<(), HarnessError> {
     let w = by_name("crc32").expect("registered");
-    let prep = Prep::new(&w, &Input::tiny());
-    let image = prep.image(&Policy::integer_memory(), RewriteStyle::NopPadded);
+    let prep = Prep::try_new(&w, &Input::tiny())?;
+    let image = prep.try_image(&Policy::integer_memory(), RewriteStyle::NopPadded)?;
 
     let engine = expansion_engine(
         &image.catalog,
@@ -110,32 +116,34 @@ fn dise_expansion_fallback_round_trips() {
     );
     let expanded = engine.expand_image(&image.program).expect("expansion succeeds");
 
-    let mut m0 = prep.fresh_memory();
+    let mut m0 = prep.try_fresh_memory()?;
     run_program(&prep.prog, &mut m0, None, 200_000_000).unwrap();
-    let mut m1 = prep.fresh_memory();
+    let mut m1 = prep.try_fresh_memory()?;
     run_program(&expanded, &mut m1, None, 200_000_000).unwrap();
     assert_eq!(
         m0.read_u64(RESULT_ADDR),
         m1.read_u64(RESULT_ADDR),
         "expanded image recomputes the same checksum"
     );
+    Ok(())
 }
 
 /// Baseline IPCs span the paper's dynamic range: the suite contains both
 /// memory-crawlers (mcf-like, IPC ≈ 0.3 or below) and high-ILP media
 /// kernels (IPC ≥ 2.5).
 #[test]
-fn baseline_ipc_dynamic_range() {
+fn baseline_ipc_dynamic_range() -> Result<(), HarnessError> {
     let mut cfg = SimConfig::baseline();
     cfg.max_ops = 25_000;
     let engine = Engine::builder()
-        .workloads(&["mcf.netw", "crafty.bits"])
+        .try_workloads(&["mcf.netw", "crafty.bits"])?
         .input(Input::tiny())
         .quick(false)
-        .build();
-    let matrix = engine.run(&[Run::baseline(cfg)]);
+        .try_build()?;
+    let matrix = engine.try_run(&[Run::baseline(cfg)])?;
     let lo = matrix.row("mcf.netw").unwrap().stats[0].ipc();
     let hi = matrix.row("crafty.bits").unwrap().stats[0].ipc();
     assert!(lo < 0.4, "mcf-like crawls: {lo:.2}");
     assert!(hi > 2.5, "bit-twiddling flies: {hi:.2}");
+    Ok(())
 }
