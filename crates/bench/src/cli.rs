@@ -799,6 +799,7 @@ fn cmd_cache(argv: &[String]) -> i32 {
             t.row(vec!["selections".into(), s.selections.to_string()]);
             t.row(vec!["traces".into(), s.traces.to_string()]);
             t.row(vec!["images".into(), s.images.to_string()]);
+            t.row(vec!["profiles".into(), s.profiles.to_string()]);
             t.row(vec!["other".into(), s.other.to_string()]);
             t.row(vec!["total bytes".into(), s.bytes.to_string()]);
             report.table(t);
@@ -896,9 +897,10 @@ pub fn compose_experiments_md(args: &RunArgs) -> Result<String, MgError> {
            fused-over-scalar throughput ratio, gated in CI by\n\
            `--min-fused-speedup`;\n\
          * `artifacts_cold` / `artifacts_warm` — one full artifact sweep\n\
-           (every selection, baseline trace, and rewritten image) against an\n\
-           empty and then a warm persistent cache: the cold/warm gap is the\n\
-           recomputation the cache saves.\n\
+           (every profile and candidate pool, selection, baseline trace, and\n\
+           rewritten image) against an empty and then a warm persistent\n\
+           cache: the cold/warm gap is the recomputation the cache saves,\n\
+           and CI fails if warm prep exceeds a quarter of cold prep.\n\
          \n\
          Timings are machine- and thread-count-dependent, so they are *not*\n\
          part of this generated file; the committed `BENCH_pipeline.json` is\n\

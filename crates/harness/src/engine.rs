@@ -457,22 +457,27 @@ impl EngineBuilder {
         let cache_root = cache.as_ref().map(|c| c.root().to_path_buf());
         let prepare = |source: &Source| -> Result<Prep, HarnessError> {
             let prep = match source {
-                Source::Registered(w) => Prep::try_new(w, &input)?,
+                Source::Registered(w) => Prep::try_new(w, &input, cache.clone())?,
                 Source::Extra(x) => Prep::try_with_source(
                     x.name.clone(),
                     x.suite,
                     Arc::clone(&x.build),
                     &input,
                     x.stable_id.clone(),
+                    cache.clone(),
                 )?,
-                Source::Custom { name, suite, build } => {
-                    Prep::try_with_build(name.clone(), *suite, Arc::clone(build), &input)?
-                }
+                Source::Custom { name, suite, build } => Prep::try_with_build(
+                    name.clone(),
+                    *suite,
+                    Arc::clone(build),
+                    &input,
+                    cache.clone(),
+                )?,
             };
             // `STEP_BUDGET` (the full default) is the prep's own default,
             // so applying the resolved budget unconditionally matches the
             // old quick-only behaviour bit for bit.
-            Ok(prep.with_trace_budget(trace_budget).with_cache(cache.clone()))
+            Ok(prep.with_trace_budget(trace_budget))
         };
         let sources: Vec<Source> = sources;
         let preps: Vec<Result<Arc<Prep>, HarnessError>> =

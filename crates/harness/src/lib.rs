@@ -68,7 +68,9 @@ pub use error::{BuildError, HarnessError};
 pub use fused::{run_fused, FUSE_CHUNK};
 pub use pool::{PoolKey, PrepPool};
 pub use prep::{by_suite, BuildFn, MgImage, Prep, ENUMERATION_SIZE, STEP_BUDGET};
-pub use prep_cache::{CacheStats, PrepCache, CACHE_SCHEMA_VERSION};
+pub use prep_cache::{
+    CacheCounters, CacheStats, LookupCounts, PrepCache, CACHE_SCHEMA_VERSION,
+};
 pub use quick::{apply_quick, quick_mode, QUICK_MAX_OPS};
 pub use report::{gmean, speedup};
 pub use table::Table;

@@ -251,7 +251,7 @@ mod tests {
 
     fn tiny_prep(name: &str) -> Prep {
         let w = mg_workloads::by_name(name).expect("registered");
-        Prep::try_new(&w, &Input::tiny()).expect("prepares")
+        Prep::try_new(&w, &Input::tiny(), None).expect("prepares")
     }
 
     fn key(name: &str, budget: u64) -> PoolKey {

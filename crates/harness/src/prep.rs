@@ -9,6 +9,10 @@
 //! matrix of simulation runs shares every artifact that does not depend
 //! on the machine configuration.
 //!
+//! With a [`PrepCache`], preparation fingerprints the built program first
+//! and loads the profile and candidate pool from disk when present: a
+//! warm prep builds the program and its CFG but never executes it.
+//!
 //! All caches are behind locks: a `Prep` is `Sync` and is shared freely
 //! across the [`Engine`](crate::engine::Engine)'s worker threads. Every
 //! cached artifact is a deterministic function of the preparation inputs,
@@ -110,7 +114,8 @@ pub struct Prep {
     /// Cache fingerprint over everything the artifacts depend on (see
     /// [`prep_cache::fingerprint`]).
     fingerprint: u64,
-    /// Optional persistent artifact cache shared with other preps.
+    /// Optional persistent artifact cache shared with other preps (see
+    /// [`crate::prep_cache`]), fixed at construction.
     cache: Option<Arc<PrepCache>>,
     // Memoized downstream artifacts (see module docs). Selections and
     // images carry a selector-id dimension so alternative selection
@@ -164,11 +169,21 @@ impl Prep {
     /// workloads cache under their registry stable id; ad-hoc programs
     /// ([`Prep::try_with_build`]) under `custom/<name>`.
     ///
+    /// With a `cache`, the profile and candidate pool are loaded from it
+    /// when present (and stored after computation), and every downstream
+    /// artifact — selections, baseline traces, rewritten images — is
+    /// loaded and stored there too. The in-process memo caches sit in
+    /// front, so the disk is consulted at most once per artifact per prep.
+    ///
     /// # Errors
     ///
     /// [`HarnessError::Exec`] if the profiling run faults or exceeds its
     /// step budget (registered builders themselves are infallible).
-    pub fn try_new(w: &Workload, input: &Input) -> Result<Prep, HarnessError> {
+    pub fn try_new(
+        w: &Workload,
+        input: &Input,
+        cache: Option<Arc<PrepCache>>,
+    ) -> Result<Prep, HarnessError> {
         let build = w.build;
         Prep::try_prepare(
             w.name.to_string(),
@@ -176,12 +191,13 @@ impl Prep {
             Arc::new(move |i: &Input| Ok(build(i))),
             input,
             w.stable_id(),
+            cache,
         )
     }
 
     /// Prepares an ad-hoc program (not in the workload registry) from any
     /// build closure — the same flow the examples use. The cache id is
-    /// `custom/<name>`.
+    /// `custom/<name>`; `cache` is used as in [`Prep::try_new`].
     ///
     /// # Errors
     ///
@@ -192,10 +208,11 @@ impl Prep {
         suite: Suite,
         build: BuildFn,
         input: &Input,
+        cache: Option<Arc<PrepCache>>,
     ) -> Result<Prep, HarnessError> {
         let name = name.into();
         let cache_id = format!("custom/{name}");
-        Prep::try_prepare(name, suite, build, input, cache_id)
+        Prep::try_prepare(name, suite, build, input, cache_id, cache)
     }
 
     /// Like [`Prep::try_with_build`] but with a caller-declared stable
@@ -214,8 +231,9 @@ impl Prep {
         build: BuildFn,
         input: &Input,
         stable_id: impl Into<String>,
+        cache: Option<Arc<PrepCache>>,
     ) -> Result<Prep, HarnessError> {
-        Prep::try_prepare(name.into(), suite, build, input, stable_id.into())
+        Prep::try_prepare(name.into(), suite, build, input, stable_id.into(), cache)
     }
 
     fn try_prepare(
@@ -224,6 +242,7 @@ impl Prep {
         build: BuildFn,
         input: &Input,
         cache_id: String,
+        cache: Option<Arc<PrepCache>>,
     ) -> Result<Prep, HarnessError> {
         let (prog, mut mem) = build(input)
             .map_err(|source| HarnessError::Build { workload: name.clone(), source })?;
@@ -231,11 +250,22 @@ impl Prep {
         // fingerprint must cover the *initial* memory.
         let mem_hash = mem.content_hash();
         let cfg = build_cfg(&prog);
-        let prof = profile_program(&prog, &mut mem, None, STEP_BUDGET).map_err(|source| {
-            HarnessError::Exec { workload: name.clone(), phase: "profile", source }
-        })?;
-        let candidates = enumerate_candidates(&prog, &cfg, &prof, ENUMERATION_SIZE);
         let fingerprint = prep_cache::fingerprint(&cache_id, input, &prog, mem_hash);
+        let cached = cache.as_deref().and_then(|c| c.load_profile(fingerprint, &prog));
+        let (prof, candidates) = match cached {
+            Some(hit) => hit,
+            None => {
+                let prof =
+                    profile_program(&prog, &mut mem, None, STEP_BUDGET).map_err(|source| {
+                        HarnessError::Exec { workload: name.clone(), phase: "profile", source }
+                    })?;
+                let candidates = enumerate_candidates(&prog, &cfg, &prof, ENUMERATION_SIZE);
+                if let Some(c) = cache.as_deref() {
+                    c.store_profile(fingerprint, &prof, &candidates);
+                }
+                (prof, candidates)
+            }
+        };
         Ok(Prep {
             name,
             suite,
@@ -249,7 +279,7 @@ impl Prep {
             trace_budget: STEP_BUDGET,
             cache_id,
             fingerprint,
-            cache: None,
+            cache,
             selections: Mutex::new(HashMap::new()),
             base_trace: OnceLock::new(),
             base_trace_init: Mutex::new(()),
@@ -283,17 +313,9 @@ impl Prep {
         self
     }
 
-    /// Attaches a persistent artifact cache (see
-    /// [`crate::prep_cache`]): selections, baseline traces,
-    /// and rewritten images are loaded from disk when present and stored
-    /// after computation. The in-process memo caches sit in front, so the
-    /// disk is consulted at most once per artifact per prep.
-    ///
-    /// Attach before the first artifact is requested; artifacts computed
-    /// earlier stay memoized in-process but are not written back.
-    pub fn with_cache(mut self, cache: Option<Arc<PrepCache>>) -> Prep {
-        self.cache = cache;
-        self
+    /// The persistent artifact cache this prep was built with, if any.
+    pub fn cache(&self) -> Option<&Arc<PrepCache>> {
+        self.cache.as_ref()
     }
 
     /// The stable identifier used in cache keys and machine-readable

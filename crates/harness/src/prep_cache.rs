@@ -9,6 +9,12 @@
 //! recording entirely. Timing simulation itself is never cached: it *is*
 //! the experiment.
 //!
+//! The fourth artifact kind is the prep's own starting point: the
+//! functional block profile and the candidate pool enumerated from it
+//! ([`PrepCache::load_profile`]). Preparation fingerprints the built
+//! program *before* profiling, so a warm prep loads both and never runs
+//! the program through the functional model at all.
+//!
 //! # Key and invalidation scheme (see `DESIGN.md` §5)
 //!
 //! Every artifact key starts from the owning prep's **fingerprint**, an
@@ -26,7 +32,9 @@
 //!
 //! to which each artifact appends its own coordinates: the wire-encoded
 //! [`Policy`] (selections), plus the [`RewriteStyle`] and the trace budget
-//! (images and traces). Artifacts produced by a non-default
+//! (images and traces). The profile artifact is keyed by the fingerprint
+//! alone: the profiling step budget and the enumeration size are already
+//! in it. Artifacts produced by a non-default
 //! [`Selector`](mg_core::Selector) additionally append the selector id —
 //! appended *only* when the id differs from
 //! [`GREEDY_SELECTOR_ID`](mg_core::GREEDY_SELECTOR_ID), so greedy keys
@@ -37,9 +45,9 @@
 //! artifacts immediately, while memory-image (data generation) changes are
 //! covered by the registry version, whose bump is forced by the committed
 //! workload checksum table (`crates/workloads/tests/checksums.rs`).
-//! Selection/rewrite/trace *algorithm* changes must bump
-//! [`CACHE_SCHEMA_VERSION`]; the golden-stats regression tests are the
-//! tripwire that such a change happened.
+//! Profiling, enumeration, selection, rewrite, and trace *algorithm*
+//! changes must bump [`CACHE_SCHEMA_VERSION`]; the golden-stats
+//! regression tests are the tripwire that such a change happened.
 //!
 //! Files are named by the FNV hash of the full key, and the full key bytes
 //! are stored in each file's header and verified on load — a hash
@@ -53,17 +61,27 @@
 //! race benignly: both compute the identical artifact, last rename wins,
 //! and readers only ever see complete files. Any read error — truncation,
 //! foreign bytes, corruption, stale schema — is a miss; the artifact is
-//! recomputed and the file overwritten.
+//! recomputed and the file overwritten. A decoded profile that does not
+//! fit the program it is loaded for (count vector of another length, a
+//! candidate member past the end) is a miss too.
+//!
+//! Each cache counts its own lookups per artifact kind, in process
+//! ([`PrepCache::counters`]): a hit is an artifact returned, a miss is
+//! anything else.
 
 use crate::prep::MgImage;
-use mg_core::{Policy, RewriteStyle, Selection};
+use mg_core::{MiniGraph, Policy, RewriteStyle, Selection};
 use mg_isa::wire::{self, Wire, Writer};
-use mg_profile::Trace;
+use mg_isa::Program;
+use mg_profile::{BlockProfile, Trace};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bump when the meaning of cached bytes changes: a new wire layout, or a
-/// behavioural change to selection, rewriting, or trace recording.
+/// behavioural change to functional profiling, candidate enumeration,
+/// selection, rewriting, or trace recording (profiles and candidate pools
+/// are cached too, so a changed profiler or enumerator would otherwise
+/// keep serving the old pool).
 pub const CACHE_SCHEMA_VERSION: u32 = 1;
 
 /// Magic bytes opening every cache file.
@@ -81,14 +99,18 @@ enum Kind {
     Selection,
     Trace,
     Image,
+    Profile,
 }
 
 impl Kind {
+    const COUNT: usize = 4;
+
     fn tag(self) -> u8 {
         match self {
             Kind::Selection => 1,
             Kind::Trace => 2,
             Kind::Image => 3,
+            Kind::Profile => 4,
         }
     }
 
@@ -97,7 +119,13 @@ impl Kind {
             Kind::Selection => "sel",
             Kind::Trace => "trace",
             Kind::Image => "img",
+            Kind::Profile => "prof",
         }
+    }
+
+    /// Row of the kind in [`PrepCache`]'s lookup counters.
+    fn index(self) -> usize {
+        usize::from(self.tag() - 1)
     }
 }
 
@@ -110,6 +138,8 @@ pub struct CacheStats {
     pub traces: u64,
     /// Cached image files.
     pub images: u64,
+    /// Cached profile files (block profile + candidate pool).
+    pub profiles: u64,
     /// Files that are none of the known kinds (foreign or stale layouts).
     pub other: u64,
     /// Total bytes across all files.
@@ -119,8 +149,32 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total files of any kind.
     pub fn files(&self) -> u64 {
-        self.selections + self.traces + self.images + self.other
+        self.selections + self.traces + self.images + self.profiles + self.other
     }
+}
+
+/// Lookups of one artifact kind through one [`PrepCache`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LookupCounts {
+    /// Loads that returned an artifact.
+    pub hits: u64,
+    /// Loads that returned nothing: no file, or one that was damaged,
+    /// stale, foreign, or did not fit its program.
+    pub misses: u64,
+}
+
+/// A snapshot of a [`PrepCache`]'s in-process lookup counters, per
+/// artifact kind (see [`PrepCache::counters`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheCounters {
+    /// Selection lookups.
+    pub selections: LookupCounts,
+    /// Baseline-trace lookups.
+    pub traces: LookupCounts,
+    /// Rewritten-image lookups.
+    pub images: LookupCounts,
+    /// Profile (block profile + candidate pool) lookups.
+    pub profiles: LookupCounts,
 }
 
 /// A persistent artifact cache rooted at one directory.
@@ -136,6 +190,8 @@ pub struct PrepCache {
     /// Deterministic fault schedule for the write path (see
     /// [`PrepCache::with_fault_plan`]); `None` in production.
     fault_plan: Option<std::sync::Arc<mg_fault::FaultPlan>>,
+    /// Hits (column 0) and misses (column 1) per [`Kind::index`].
+    lookups: [[AtomicU64; 2]; Kind::COUNT],
 }
 
 /// Uniquifier for temp-file names within one process.
@@ -145,7 +201,12 @@ impl PrepCache {
     /// Opens (lazily — no I/O happens until the first store) a cache
     /// rooted at `root`.
     pub fn new(root: impl Into<PathBuf>) -> PrepCache {
-        PrepCache { root: root.into(), fallback: None, fault_plan: None }
+        PrepCache {
+            root: root.into(),
+            fallback: None,
+            fault_plan: None,
+            lookups: Default::default(),
+        }
     }
 
     /// Chains a shared read-through root behind this cache: a load that
@@ -199,6 +260,33 @@ impl PrepCache {
     /// The cache's root directory.
     pub fn root(&self) -> &Path {
         &self.root
+    }
+
+    /// The hits and misses of every lookup made through this cache since
+    /// it was opened, per artifact kind. The counters live in this
+    /// process only; a read-through fallback's lookups count once, here.
+    pub fn counters(&self) -> CacheCounters {
+        let kind = |k: Kind| {
+            let [hits, misses] = &self.lookups[k.index()];
+            LookupCounts {
+                hits: hits.load(Ordering::Relaxed),
+                misses: misses.load(Ordering::Relaxed),
+            }
+        };
+        CacheCounters {
+            selections: kind(Kind::Selection),
+            traces: kind(Kind::Trace),
+            images: kind(Kind::Image),
+            profiles: kind(Kind::Profile),
+        }
+    }
+
+    /// Counts one lookup of `kind` as a hit or a miss and passes its
+    /// result through.
+    fn counted<T>(&self, kind: Kind, found: Option<T>) -> Option<T> {
+        self.lookups[kind.index()][usize::from(found.is_none())]
+            .fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// The versioned directory artifacts live in.
@@ -334,7 +422,9 @@ impl PrepCache {
         selector_id: &str,
         policy: &Policy,
     ) -> Option<Selection> {
-        self.load(Kind::Selection, &selection_key(fingerprint, selector_id, policy))
+        let found =
+            self.load(Kind::Selection, &selection_key(fingerprint, selector_id, policy));
+        self.counted(Kind::Selection, found)
     }
 
     /// Persists a selection produced by the selector named `selector_id`.
@@ -350,7 +440,8 @@ impl PrepCache {
 
     /// Looks up a cached baseline trace (prefix) recorded under `budget`.
     pub fn load_trace(&self, fingerprint: u64, budget: u64) -> Option<Trace> {
-        self.load(Kind::Trace, &trace_key(fingerprint, budget))
+        let found = self.load(Kind::Trace, &trace_key(fingerprint, budget));
+        self.counted(Kind::Trace, found)
     }
 
     /// Persists a baseline trace, unless it exceeds
@@ -404,8 +495,9 @@ impl PrepCache {
         style: RewriteStyle,
         budget: u64,
     ) -> Option<MgImage> {
-        let (program, (trace, catalog)) = self
-            .load(Kind::Image, &image_key(fingerprint, selector_id, policy, style, budget))?;
+        let found =
+            self.load(Kind::Image, &image_key(fingerprint, selector_id, policy, style, budget));
+        let (program, (trace, catalog)) = self.counted(Kind::Image, found)?;
         Some(MgImage::new(program, trace, catalog))
     }
 
@@ -432,6 +524,44 @@ impl PrepCache {
             &image_key(fingerprint, selector_id, policy, style, budget),
             w,
         );
+    }
+
+    /// Looks up the cached block profile and candidate pool of the prep
+    /// fingerprinted `fingerprint`, whose built program is `prog`. A
+    /// profile that does not fit `prog` — a count vector of another
+    /// length, or a candidate member past the program's end — is a miss,
+    /// so a bad file can never index out of bounds downstream.
+    pub fn load_profile(
+        &self,
+        fingerprint: u64,
+        prog: &Program,
+    ) -> Option<(BlockProfile, Vec<MiniGraph>)> {
+        let n = prog.len();
+        let found = self
+            .load::<(BlockProfile, Vec<MiniGraph>)>(Kind::Profile, &profile_key(fingerprint))
+            .filter(|(prof, candidates)| {
+                prof.inst_counts.len() == n
+                    && candidates.iter().all(|g| g.members.iter().all(|&m| m < n))
+            });
+        self.counted(Kind::Profile, found)
+    }
+
+    /// Persists a prep's block profile and candidate pool.
+    pub fn store_profile(
+        &self,
+        fingerprint: u64,
+        prof: &BlockProfile,
+        candidates: &[MiniGraph],
+    ) {
+        // The layout of `(BlockProfile, Vec<MiniGraph>)`, written from a
+        // borrowed slice.
+        let mut w = Writer::new();
+        prof.put(&mut w);
+        w.u64(candidates.len() as u64);
+        for g in candidates {
+            g.put(&mut w);
+        }
+        self.store_raw(Kind::Profile, &profile_key(fingerprint), w);
     }
 
     /// Lands an already-encoded cache file (checksum trailer included)
@@ -494,6 +624,8 @@ impl PrepCache {
                     s.traces += 1;
                 } else if name.starts_with("img-") {
                     s.images += 1;
+                } else if name.starts_with("prof-") {
+                    s.profiles += 1;
                 } else {
                     s.other += 1;
                 }
@@ -551,6 +683,12 @@ fn trace_key(fingerprint: u64, budget: u64) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(fingerprint);
     w.u64(budget);
+    w.into_bytes()
+}
+
+fn profile_key(fingerprint: u64) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u64(fingerprint);
     w.into_bytes()
 }
 

@@ -38,13 +38,12 @@ fn cache_files(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Builds a cached prep of `crc32` on the tiny input and fills the
-/// cache with all three artifact kinds.
+/// Builds a cached prep of `crc32` on the tiny input (which stores its
+/// profile) and fills the cache with the three other artifact kinds.
 fn populated_prep(cache: &Arc<PrepCache>) -> Result<Prep, HarnessError> {
     let w = mg_workloads::by_name("crc32").expect("registered");
-    let prep = Prep::try_new(&w, &Input::tiny())?
-        .with_trace_budget(BUDGET)
-        .with_cache(Some(Arc::clone(cache)));
+    let prep =
+        Prep::try_new(&w, &Input::tiny(), Some(Arc::clone(cache)))?.with_trace_budget(BUDGET);
     let policy = Policy::integer_memory();
     let _ = prep.select(&policy);
     let _ = prep.try_base_trace()?;
@@ -61,15 +60,18 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() -> Result<(), 
 
     let prep = populated_prep(&cache)?;
     let fp = prep.fingerprint();
+    let prog = prep.prog.clone();
 
     // Golden copies for bit-identity after recomputation.
     let golden_sel = wire::to_bytes(&*prep.select(&policy));
     let golden_trace = wire::to_bytes(&*prep.try_base_trace()?);
+    let golden_candidates = wire::to_bytes(&prep.candidates);
 
     let files = cache_files(&root);
-    assert!(files.len() >= 3, "selection + trace + image cached, got {files:?}");
+    assert!(files.len() >= 4, "profile + selection + trace + image cached, got {files:?}");
 
-    // All three artifact kinds load while the files are intact.
+    // All four artifact kinds load while the files are intact.
+    assert!(cache.load_profile(fp, &prog).is_some());
     assert!(cache.load_selection(fp, &policy).is_some());
     assert!(cache.load_trace(fp, BUDGET).is_some());
     assert!(cache.load_image(fp, &policy, RewriteStyle::NopPadded, BUDGET).is_some());
@@ -77,15 +79,24 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() -> Result<(), 
     let originals: Vec<Vec<u8>> =
         files.iter().map(|f| fs::read(f).expect("artifact readable")).collect();
 
-    // Which loader a file feeds, by its `sel-`/`trace-`/`img-` name.
-    // `probe` runs all three loaders (nothing may panic) and returns
-    // whether the loader owning `file` found its artifact.
+    // Runs all four loaders; nothing may panic.
+    let load_all = || {
+        (
+            cache.load_profile(fp, &prog).is_some(),
+            cache.load_selection(fp, &policy).is_some(),
+            cache.load_trace(fp, BUDGET).is_some(),
+            cache.load_image(fp, &policy, RewriteStyle::NopPadded, BUDGET).is_some(),
+        )
+    };
+    // Which loader a file feeds, by its `prof-`/`sel-`/`trace-`/`img-`
+    // name: `probe` runs every loader and returns whether the one owning
+    // `file` found its artifact.
     let probe = |file: &Path| -> bool {
-        let sel = cache.load_selection(fp, &policy).is_some();
-        let trace = cache.load_trace(fp, BUDGET).is_some();
-        let img = cache.load_image(fp, &policy, RewriteStyle::NopPadded, BUDGET).is_some();
+        let (prof, sel, trace, img) = load_all();
         let name = file.file_name().unwrap().to_string_lossy().to_string();
-        if name.starts_with("sel-") {
+        if name.starts_with("prof-") {
+            prof
+        } else if name.starts_with("sel-") {
             sel
         } else if name.starts_with("trace-") {
             trace
@@ -129,9 +140,7 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() -> Result<(), 
             let mut bytes = original.clone();
             bytes[pos] ^= 0x55;
             fs::write(file, &bytes).unwrap();
-            let _ = cache.load_selection(fp, &policy);
-            let _ = cache.load_trace(fp, BUDGET);
-            let _ = cache.load_image(fp, &policy, RewriteStyle::NopPadded, BUDGET);
+            let _ = load_all();
         }
     }
 
@@ -145,6 +154,13 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() -> Result<(), 
     }
     let fresh = populated_prep(&cache)?;
     assert_eq!(fresh.fingerprint(), fp, "same prep coordinates, same fingerprint");
+    assert_eq!(fresh.prof.inst_counts, prep.prof.inst_counts, "recomputed profile counts");
+    assert_eq!(fresh.total_dyn, prep.total_dyn, "recomputed dynamic total");
+    assert_eq!(
+        wire::to_bytes(&fresh.candidates),
+        golden_candidates,
+        "recomputed candidate pool is bit-identical"
+    );
     assert_eq!(
         wire::to_bytes(&*fresh.select(&policy)),
         golden_sel,
@@ -156,6 +172,7 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() -> Result<(), 
         "recomputed trace is bit-identical"
     );
     // And the recomputation healed the cache: artifacts load again.
+    assert!(cache.load_profile(fp, &prog).is_some(), "profile overwritten on recompute");
     assert!(cache.load_selection(fp, &policy).is_some(), "overwritten on recompute");
     cache.clear().unwrap();
     Ok(())

@@ -2,6 +2,7 @@
 
 use crate::cfg::{BasicBlock, Cfg};
 use mg_isa::exec::{step, CpuState, ExecError};
+use mg_isa::wire::{Reader, Wire, WireError, Writer};
 use mg_isa::{HandleCatalog, Memory, Program};
 
 /// Per-instruction and per-block execution frequencies gathered by
@@ -10,7 +11,7 @@ use mg_isa::{HandleCatalog, Memory, Program};
 /// The paper derives a mini-graph's execution frequency `f` "from a
 /// basic-block frequency profile" (§3.2); [`BlockProfile::block_count`]
 /// provides exactly that quantity.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockProfile {
     /// Execution count of each static instruction.
     pub inst_counts: Vec<u64>,
@@ -28,6 +29,21 @@ impl BlockProfile {
     /// Execution frequencies of every block of `cfg`.
     pub fn block_counts(&self, cfg: &Cfg) -> Vec<u64> {
         cfg.blocks.iter().map(|b| self.block_count(b)).collect()
+    }
+}
+
+/// Byte serialization for the persistent artifact cache
+/// (`mg-harness::prep_cache`): the length-prefixed per-instruction counts
+/// followed by the dynamic total. The codec does not know the program the
+/// counts belong to; the cache rejects a decoded profile whose length
+/// differs from the program it is loaded for.
+impl Wire for BlockProfile {
+    fn put(&self, w: &mut Writer) {
+        self.inst_counts.put(w);
+        w.u64(self.total);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(BlockProfile { inst_counts: Vec::take(r)?, total: r.u64()? })
     }
 }
 
@@ -78,6 +94,9 @@ mod tests {
         let prof = profile_program(&p, &mut Memory::new(), None, 1000).unwrap();
         assert_eq!(prof.block_counts(&cfg), vec![1, 7, 1]);
         assert_eq!(prof.total, 1 + 7 * 2 + 1);
+        let back: BlockProfile =
+            mg_isa::wire::from_bytes(&mg_isa::wire::to_bytes(&prof)).unwrap();
+        assert_eq!(back, prof, "profile round-trips through the wire codec");
     }
 
     #[test]

@@ -20,7 +20,7 @@ const RESULT_ADDR: u64 = 0x8000;
 fn all_workloads_rewrite_equivalently() -> Result<(), HarnessError> {
     for w in all() {
         let input = Input::tiny();
-        let prep = Prep::try_new(&w, &input)?;
+        let prep = Prep::try_new(&w, &input, None)?;
         let policy = Policy::integer_memory();
 
         let mut m0 = prep.try_fresh_memory()?;
@@ -50,7 +50,7 @@ fn all_workloads_rewrite_equivalently() -> Result<(), HarnessError> {
 #[test]
 fn amplification_accounting_identity() -> Result<(), HarnessError> {
     let w = by_name("gsm.toast").expect("registered");
-    let prep = Prep::try_new(&w, &Input::tiny())?;
+    let prep = Prep::try_new(&w, &Input::tiny(), None)?;
     let policy = Policy::integer_memory();
     let sel = prep.select(&policy);
 
@@ -107,7 +107,7 @@ fn timing_simulation_consistency() -> Result<(), HarnessError> {
 #[test]
 fn dise_expansion_fallback_round_trips() -> Result<(), HarnessError> {
     let w = by_name("crc32").expect("registered");
-    let prep = Prep::try_new(&w, &Input::tiny())?;
+    let prep = Prep::try_new(&w, &Input::tiny(), None)?;
     let image = prep.try_image(&Policy::integer_memory(), RewriteStyle::NopPadded)?;
 
     let engine = expansion_engine(
