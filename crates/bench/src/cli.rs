@@ -882,6 +882,12 @@ pub fn compose_experiments_md(args: &RunArgs) -> Result<String, MgError> {
          track real compute) and a synthetic selection stress case, then\n\
          writes `BENCH_pipeline.json`:\n\
          \n\
+         * `functional` — the functional model alone: every registry\n\
+           workload on the reference input profiled to halt and its\n\
+           baseline trace recorded (quick-capped in quick mode), the two\n\
+           passes each cold prep makes; `sim_ops` is the dynamic\n\
+           instructions executed, so `mops_per_s` is the model's\n\
+           instructions per second;\n\
          * `wall_ms` = `prep_ms` (engine build: profile + enumerate) +\n\
            `run_ms` (the simulation matrix, or pure selection for\n\
            `fig5_coverage` / `select_stress`);\n\

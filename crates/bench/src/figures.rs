@@ -17,7 +17,9 @@ use crate::experiments::{
 };
 use mg_api::MgError;
 use mg_core::{select, select_domain, MiniGraph, Policy, RewriteStyle};
-use mg_harness::{by_suite, gmean, Engine, HarnessError, Prep, PrepCache, Run};
+use mg_harness::{
+    by_suite, gmean, Engine, HarnessError, Prep, PrepCache, Run, QUICK_MAX_OPS, STEP_BUDGET,
+};
 use mg_isa::{MgTemplate, Opcode, TmplInst, TmplOperand};
 use mg_workloads::Input;
 use rand::rngs::StdRng;
@@ -521,6 +523,39 @@ fn perf_sim_experiment(
     })
 }
 
+/// The functional model on its own: the two passes a cold prep makes over
+/// each registry workload on the reference input — the profile to halt,
+/// then the baseline trace record (quick-capped in quick mode) — timed
+/// without building the workloads. `sim_ops` is the dynamic instructions
+/// the two passes executed.
+fn perf_functional(quick: bool) -> Result<Measurement, MgError> {
+    let budget = if quick { QUICK_MAX_OPS } else { STEP_BUDGET };
+    let mut built: Vec<_> = mg_workloads::all()
+        .iter()
+        .map(|w| {
+            let (prog, mem) = (w.build)(&Input::reference());
+            (prog, mem.clone(), mem)
+        })
+        .collect();
+    let t = Instant::now();
+    let mut insts = 0;
+    for (prog, profile_mem, trace_mem) in &mut built {
+        insts += mg_profile::profile_program(prog, profile_mem, None, STEP_BUDGET)?.total;
+        insts += mg_profile::record_trace(prog, trace_mem, None, budget)?.insts;
+    }
+    let run_ms = t.elapsed().as_secs_f64() * 1e3;
+    eprintln!("functional     prep      0.0 ms  run {run_ms:8.1} ms  {insts} instructions");
+    Ok(Measurement {
+        name: "functional",
+        prep_ms: 0.0,
+        run_ms,
+        sim_cycles: 0,
+        sim_ops: insts,
+        speedup: None,
+        selection_ms: None,
+    })
+}
+
 /// A synthetic selection workload far past the real candidate pools: many
 /// heavily-overlapping instances of many templates with tied benefits,
 /// selected at a large MGT capacity. This is the O(rounds × instances ×
@@ -737,7 +772,7 @@ pub fn perf(args: &RunArgs) -> Result<Report, MgError> {
     // scalar simulator compute against the committed trajectory, and are
     // comparable across releases that predate fusion. The fused rows
     // below measure the fusion win explicitly.
-    let mut measurements = vec![perf_fig5_experiment(args, quick)?];
+    let mut measurements = vec![perf_functional(quick)?, perf_fig5_experiment(args, quick)?];
     let sweeps = [
         ("fig6", None, fig6_runs()),
         ("fig7", Some(&FIG7_FOCUS[..]), fig7_runs()),

@@ -7,7 +7,8 @@
 //! cache directory, and checks that
 //!
 //! - the warm engine's cache counted one profile hit and no profile miss
-//!   per workload (so no warm prep ran the functional model);
+//!   per workload (so no warm prep ran the functional model), read bytes
+//!   and found no corrupt file;
 //! - every warm prep's profile, dynamic total and candidate pool equal
 //!   the cold ones bit for bit;
 //! - the Figure 5 selections, recomputed from the warm prep's inputs, and
@@ -38,10 +39,13 @@ fn warm_preps_load_the_profile_and_match_cold_bit_for_bit() -> Result<(), Harnes
     let cold = engine(&dir)?;
     let n = cold.preps().len() as u64;
     assert_eq!(n, mg_workloads::all().len() as u64, "every registry workload");
-    assert_eq!(profile_lookups(&cold), LookupCounts { hits: 0, misses: n }, "cold profiles");
+    let c = profile_lookups(&cold);
+    assert_eq!((c.hits, c.misses, c.corrupt, c.bytes_read), (0, n, 0, 0), "cold profiles");
 
     let warm = engine(&dir)?;
-    assert_eq!(profile_lookups(&warm), LookupCounts { hits: n, misses: 0 }, "warm profiles");
+    let w = profile_lookups(&warm);
+    assert_eq!((w.hits, w.misses, w.corrupt), (n, 0, 0), "warm profiles");
+    assert!(w.bytes_read > 0, "warm profiles are read from disk");
 
     let intmem = Policy::integer_memory();
     for (c, w) in cold.preps().iter().zip(warm.preps()) {

@@ -67,7 +67,9 @@
 //!
 //! Each cache counts its own lookups per artifact kind, in process
 //! ([`PrepCache::counters`]): a hit is an artifact returned, a miss is
-//! anything else.
+//! anything else. Of the misses, a corrupt read is a file that exists
+//! but fails its checksum, header, key or decode; and every byte read
+//! from a file, hit or not, counts towards `bytes_read`.
 
 use crate::prep::MgImage;
 use mg_core::{MiniGraph, Policy, RewriteStyle, Selection};
@@ -161,6 +163,12 @@ pub struct LookupCounts {
     /// Loads that returned nothing: no file, or one that was damaged,
     /// stale, foreign, or did not fit its program.
     pub misses: u64,
+    /// Files read that failed their checksum, header, key or decode. A
+    /// lookup through a read-through fallback reads up to two files, so
+    /// it can count a corrupt read and still hit.
+    pub corrupt: u64,
+    /// Bytes of cache files read, whether they hit or not.
+    pub bytes_read: u64,
 }
 
 /// A snapshot of a [`PrepCache`]'s in-process lookup counters, per
@@ -190,8 +198,9 @@ pub struct PrepCache {
     /// Deterministic fault schedule for the write path (see
     /// [`PrepCache::with_fault_plan`]); `None` in production.
     fault_plan: Option<std::sync::Arc<mg_fault::FaultPlan>>,
-    /// Hits (column 0) and misses (column 1) per [`Kind::index`].
-    lookups: [[AtomicU64; 2]; Kind::COUNT],
+    /// Hits, misses, corrupt reads and bytes read (the fields of
+    /// [`LookupCounts`], in order) per [`Kind::index`].
+    lookups: [[AtomicU64; 4]; Kind::COUNT],
 }
 
 /// Uniquifier for temp-file names within one process.
@@ -262,16 +271,15 @@ impl PrepCache {
         &self.root
     }
 
-    /// The hits and misses of every lookup made through this cache since
-    /// it was opened, per artifact kind. The counters live in this
-    /// process only; a read-through fallback's lookups count once, here.
+    /// The hits, misses, corrupt reads and bytes read of every lookup
+    /// made through this cache since it was opened, per artifact kind.
+    /// The counters live in this process only; a read-through fallback's
+    /// lookups count here, not in the fallback.
     pub fn counters(&self) -> CacheCounters {
         let kind = |k: Kind| {
-            let [hits, misses] = &self.lookups[k.index()];
-            LookupCounts {
-                hits: hits.load(Ordering::Relaxed),
-                misses: misses.load(Ordering::Relaxed),
-            }
+            let [hits, misses, corrupt, bytes_read] =
+                self.lookups[k.index()].each_ref().map(|c| c.load(Ordering::Relaxed));
+            LookupCounts { hits, misses, corrupt, bytes_read }
         };
         CacheCounters {
             selections: kind(Kind::Selection),
@@ -301,11 +309,12 @@ impl PrepCache {
     /// Loads an artifact: the primary root first, then the read-through
     /// fallback (whose hit repopulates the primary root byte-for-byte).
     fn load<T: Wire>(&self, kind: Kind, key: &[u8]) -> Option<T> {
-        if let Some(v) = self.load_local(kind, key) {
+        let tally = &self.lookups[kind.index()];
+        if let Some(v) = self.load_local(kind, key, tally) {
             return Some(v);
         }
         let fb = self.fallback.as_ref()?;
-        let v = fb.load_local(kind, key)?;
+        let v = fb.load_local(kind, key, tally)?;
         // Copy the fallback's file (already checksum-verified by the
         // load above) into the primary root so the next lookup stays
         // local. Best effort: a failed copy just means another
@@ -317,42 +326,18 @@ impl PrepCache {
     }
 
     /// Loads and payload-decodes an artifact from this root only,
-    /// verifying the whole-file checksum, the magic, the kind, and the
-    /// full key. Any mismatch or error is a miss.
-    fn load_local<T: Wire>(&self, kind: Kind, key: &[u8]) -> Option<T> {
+    /// counting the bytes read, and a file that fails to decode as
+    /// corrupt, in `tally` (the looking-up cache's counters for `kind`).
+    /// Any mismatch or error is a miss.
+    fn load_local<T: Wire>(&self, kind: Kind, key: &[u8], tally: &[AtomicU64; 4]) -> Option<T> {
         let bytes = std::fs::read(self.file_path(kind, key)).ok()?;
-        // Checksum first: nothing downstream (including the payload
-        // decoder, which cannot range-check cross-references) ever
-        // sees a damaged byte.
-        if bytes.len() < 8 {
-            return None;
+        let [_, _, corrupt, bytes_read] = tally;
+        bytes_read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        let v = decode_file(kind, key, &bytes);
+        if v.is_none() {
+            corrupt.fetch_add(1, Ordering::Relaxed);
         }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        if trailer != &wire::fnv1a(body).to_le_bytes()[..] {
-            return None;
-        }
-        let bytes = body;
-        let mut r = wire::Reader::new(bytes);
-        let mut magic = [0u8; 4];
-        for b in &mut magic {
-            *b = r.u8().ok()?;
-        }
-        if &magic != MAGIC || r.u8().ok()? != kind.tag() {
-            return None;
-        }
-        let stored_key_len = r.seq_len().ok()?;
-        if stored_key_len != key.len() {
-            return None;
-        }
-        let mut stored_key = vec![0u8; stored_key_len];
-        for b in &mut stored_key {
-            *b = r.u8().ok()?;
-        }
-        if stored_key != key {
-            return None; // hash collision: treat as miss
-        }
-        let v = T::take(&mut r).ok()?;
-        r.is_exhausted().then_some(v)
+        v
     }
 
     /// Serializes and stores an artifact under `key` (temp file + rename;
@@ -663,6 +648,43 @@ impl PrepCache {
         }
         Ok(())
     }
+}
+
+/// Verifies a cache file's whole-file checksum, magic, kind and full key,
+/// then decodes its payload; `None` on any mismatch or error.
+fn decode_file<T: Wire>(kind: Kind, key: &[u8], bytes: &[u8]) -> Option<T> {
+    // Checksum first: nothing downstream (including the payload
+    // decoder, which cannot range-check cross-references) ever
+    // sees a damaged byte.
+    if bytes.len() < 8 {
+        return None;
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    if trailer != &wire::fnv1a(body).to_le_bytes()[..] {
+        return None;
+    }
+    let bytes = body;
+    let mut r = wire::Reader::new(bytes);
+    let mut magic = [0u8; 4];
+    for b in &mut magic {
+        *b = r.u8().ok()?;
+    }
+    if &magic != MAGIC || r.u8().ok()? != kind.tag() {
+        return None;
+    }
+    let stored_key_len = r.seq_len().ok()?;
+    if stored_key_len != key.len() {
+        return None;
+    }
+    let mut stored_key = vec![0u8; stored_key_len];
+    for b in &mut stored_key {
+        *b = r.u8().ok()?;
+    }
+    if stored_key != key {
+        return None; // hash collision: treat as miss
+    }
+    let v = T::take(&mut r).ok()?;
+    r.is_exhausted().then_some(v)
 }
 
 fn selection_key(fingerprint: u64, selector_id: &str, policy: &Policy) -> Vec<u8> {

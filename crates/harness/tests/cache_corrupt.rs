@@ -7,11 +7,12 @@
 //! a real cache from a real workload prep, then fuzz-truncates every
 //! artifact file at a sweep of lengths (and bit-flips header and payload
 //! bytes) and asserts the decode paths (`isa::wire` up through
-//! `PrepCache::load_*`) refuse quietly. A final fresh prep over the
-//! mangled cache must recompute bit-identical artifacts.
+//! `PrepCache::load_*`) refuse quietly, each counted as one corrupt
+//! read. A final fresh prep over the mangled cache must recompute
+//! bit-identical artifacts.
 
 use mg_core::{Policy, RewriteStyle};
-use mg_harness::{HarnessError, Prep, PrepCache};
+use mg_harness::{CacheCounters, HarnessError, Prep, PrepCache};
 use mg_isa::wire;
 use mg_workloads::Input;
 use std::fs;
@@ -19,6 +20,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const BUDGET: u64 = 2_000;
+
+/// Corrupt reads counted so far, over every artifact kind.
+fn corrupt_reads(cache: &PrepCache) -> u64 {
+    let CacheCounters { selections, traces, images, profiles } = cache.counters();
+    [selections, traces, images, profiles].iter().map(|c| c.corrupt).sum()
+}
 
 fn cache_files(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
@@ -79,6 +86,8 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() -> Result<(), 
     let originals: Vec<Vec<u8>> =
         files.iter().map(|f| fs::read(f).expect("artifact readable")).collect();
 
+    assert_eq!(corrupt_reads(&cache), 0, "intact files are not corrupt");
+
     // Runs all four loaders; nothing may panic.
     let load_all = || {
         (
@@ -90,11 +99,13 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() -> Result<(), 
     };
     // Which loader a file feeds, by its `prof-`/`sel-`/`trace-`/`img-`
     // name: `probe` runs every loader and returns whether the one owning
-    // `file` found its artifact.
-    let probe = |file: &Path| -> bool {
+    // `file` found its artifact, and how many corrupt reads it counted.
+    let probe = |file: &Path| -> (bool, u64) {
+        let before = corrupt_reads(&cache);
         let (prof, sel, trace, img) = load_all();
+        let corrupt = corrupt_reads(&cache) - before;
         let name = file.file_name().unwrap().to_string_lossy().to_string();
-        if name.starts_with("prof-") {
+        let hit = if name.starts_with("prof-") {
             prof
         } else if name.starts_with("sel-") {
             sel
@@ -104,7 +115,8 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() -> Result<(), 
             img
         } else {
             panic!("unexpected cache file {name}");
-        }
+        };
+        (hit, corrupt)
     };
 
     // --- fuzz-truncation sweep: every artifact, many cut points ---
@@ -113,11 +125,14 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() -> Result<(), 
         for cut in [0, 1, 7, n / 4, n / 2, n.saturating_sub(1)] {
             fs::write(file, &original[..cut.min(n)]).unwrap();
             // No unwrap/panic anywhere down the decode path; the
-            // truncated artifact is a miss (its siblings still load).
-            assert!(!probe(file), "truncated {} at {cut} still decodes", file.display());
+            // truncated artifact is a miss (its siblings still load) and
+            // one corrupt read.
+            let (hit, corrupt) = probe(file);
+            assert!(!hit, "truncated {} at {cut} still decodes", file.display());
+            assert_eq!(corrupt, 1, "truncated {} at {cut}", file.display());
         }
         fs::write(file, original).unwrap();
-        assert!(probe(file), "restoring {} restores the hit", file.display());
+        assert_eq!(probe(file), (true, 0), "restoring {} restores the hit", file.display());
     }
 
     // --- header bit-flips: magic, kind tag, key-length prefix ---
@@ -128,20 +143,24 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() -> Result<(), 
             fs::write(file, &bytes).unwrap();
             // A mangled header (or key-length prefix) can never satisfy
             // the magic + stored-key verification.
-            assert!(!probe(file), "flipped header byte {pos} of {} hits", file.display());
+            let (hit, corrupt) = probe(file);
+            assert!(!hit, "flipped header byte {pos} of {} hits", file.display());
+            assert_eq!(corrupt, 1, "flipped header byte {pos} of {}", file.display());
         }
         fs::write(file, original).unwrap();
     }
 
-    // --- payload bit-flips: must not panic (hit-or-miss is fine) ---
+    // --- payload bit-flips: must not panic; the checksum trailer turns
+    // every one-byte change into a miss and one corrupt read ---
     for (file, original) in files.iter().zip(&originals) {
         let n = original.len();
         for pos in [n / 3, n / 2, (2 * n) / 3, n - 1] {
             let mut bytes = original.clone();
             bytes[pos] ^= 0x55;
             fs::write(file, &bytes).unwrap();
-            let _ = load_all();
+            assert_eq!(probe(file), (false, 1), "flipped byte {pos} of {}", file.display());
         }
+        fs::write(file, original).unwrap();
     }
 
     // --- leave everything mangled: a fresh prep must recompute the

@@ -32,11 +32,13 @@ impl CpuState {
     }
 
     /// Reads a register (the zero register always reads 0).
+    #[inline]
     pub fn read(&self, r: Reg) -> u64 {
         self.regs[r.index()]
     }
 
     /// Writes a register (writes to the zero register are discarded).
+    #[inline]
     pub fn write(&mut self, r: Reg, v: u64) {
         if !r.is_zero() {
             self.regs[r.index()] = v;
@@ -108,6 +110,7 @@ impl fmt::Display for ExecError {
 impl Error for ExecError {}
 
 /// Evaluates an operate-format ALU operation.
+#[inline]
 pub fn alu_eval(op: Opcode, a: u64, b: u64) -> u64 {
     let sext32 = |x: u64| x as u32 as i32 as i64 as u64;
     match op {
@@ -152,6 +155,7 @@ pub fn alu_eval(op: Opcode, a: u64, b: u64) -> u64 {
 }
 
 /// Evaluates a conditional-branch test against zero.
+#[inline]
 pub fn branch_taken(op: Opcode, a: u64) -> bool {
     match op {
         Opcode::Beq => a == 0,
@@ -164,6 +168,7 @@ pub fn branch_taken(op: Opcode, a: u64) -> bool {
     }
 }
 
+#[inline]
 fn load_value(op: Opcode, mem: &Memory, addr: u64) -> u64 {
     match op {
         Opcode::Ldq => mem.read_u64(addr),
@@ -174,6 +179,7 @@ fn load_value(op: Opcode, mem: &Memory, addr: u64) -> u64 {
     }
 }
 
+#[inline]
 fn operand_value(state: &CpuState, o: Operand) -> u64 {
     match o {
         Operand::Reg(r) => state.read(r),
@@ -183,6 +189,7 @@ fn operand_value(state: &CpuState, o: Operand) -> u64 {
 
 /// Executes the handle `inst` (whose template is `tmpl`) against
 /// architectural state, returning the step events.
+#[inline]
 fn exec_handle(
     inst: &Inst,
     tmpl: &[TmplInst],
@@ -259,6 +266,11 @@ fn exec_handle(
 /// * [`ExecError::PcOutOfRange`] if `state.pc` is outside the program.
 /// * [`ExecError::MissingCatalog`] / [`ExecError::UnknownMgid`] for handle
 ///   lookups that cannot be satisfied.
+///
+/// `#[inline]` (with every helper it calls) lets the loops that drive
+/// the functional model from other crates — profiling, trace recording,
+/// [`run_to_halt`] — compile to one tight loop around it.
+#[inline]
 pub fn step(
     prog: &Program,
     state: &mut CpuState,

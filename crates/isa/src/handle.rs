@@ -174,6 +174,7 @@ impl HandleCatalog {
     }
 
     /// Looks up a template by MGID.
+    #[inline]
     pub fn get(&self, mgid: u32) -> Option<&MgTemplate> {
         self.templates.get(mgid as usize)
     }

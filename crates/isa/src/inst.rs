@@ -231,6 +231,7 @@ impl Inst {
     }
 
     /// The MGID, if this is a handle.
+    #[inline]
     pub fn mgid(&self) -> Option<u32> {
         (self.op == Opcode::Mg).then_some(self.disp as u32)
     }

@@ -85,6 +85,7 @@ macro_rules! opcodes {
             }
 
             /// The pipeline class.
+            #[inline]
             pub fn class(self) -> OpClass {
                 match self {
                     $(Opcode::$variant => OpClass::$class,)+
@@ -209,6 +210,7 @@ impl Opcode {
     }
 
     /// Access width in bytes for memory opcodes, `None` otherwise.
+    #[inline]
     pub fn mem_width(self) -> Option<u8> {
         match self {
             Opcode::Ldq | Opcode::Stq => Some(8),

@@ -39,11 +39,13 @@ impl Reg {
     }
 
     /// The register's index, `0..32`.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
 
     /// Whether this is the hardwired zero register `r31`.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 31
     }

@@ -86,22 +86,32 @@ impl Writer {
         self.buf.is_empty()
     }
 
+    /// Reserves room for at least `additional` more bytes, so a caller
+    /// that knows its encoded size grows the buffer once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Appends one raw byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `i64` (two's complement).
+    #[inline]
     pub fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -113,6 +123,7 @@ impl Writer {
     }
 
     /// Appends raw bytes with no length prefix.
+    #[inline]
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -131,15 +142,18 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Whether every byte has been consumed.
+    #[inline]
     pub fn is_exhausted(&self) -> bool {
         self.remaining() == 0
     }
 
+    #[inline]
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
@@ -149,27 +163,39 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.bytes(N)?);
+        Ok(a)
+    }
+
     /// Reads one raw byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.bytes(1)?[0])
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `i64`.
+    #[inline]
     pub fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     /// Reads a sequence length written by [`Writer::u64`], bounds-checked.
+    #[inline]
     pub fn seq_len(&mut self) -> Result<usize, WireError> {
         let n = self.u64()?;
         if n > MAX_SEQ_LEN {
@@ -226,45 +252,55 @@ pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
 }
 
 impl Wire for u8 {
+    #[inline]
     fn put(&self, w: &mut Writer) {
         w.u8(*self);
     }
+    #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         r.u8()
     }
 }
 
 impl Wire for u32 {
+    #[inline]
     fn put(&self, w: &mut Writer) {
         w.u32(*self);
     }
+    #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         r.u32()
     }
 }
 
 impl Wire for u64 {
+    #[inline]
     fn put(&self, w: &mut Writer) {
         w.u64(*self);
     }
+    #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         r.u64()
     }
 }
 
 impl Wire for i64 {
+    #[inline]
     fn put(&self, w: &mut Writer) {
         w.i64(*self);
     }
+    #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         r.i64()
     }
 }
 
 impl Wire for usize {
+    #[inline]
     fn put(&self, w: &mut Writer) {
         w.u64(*self as u64);
     }
+    #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let v = r.u64()?;
         usize::try_from(v).map_err(|_| WireError::BadValue)
@@ -272,9 +308,11 @@ impl Wire for usize {
 }
 
 impl Wire for bool {
+    #[inline]
     fn put(&self, w: &mut Writer) {
         w.u8(*self as u8);
     }
+    #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(false),
@@ -294,6 +332,7 @@ impl Wire for String {
 }
 
 impl<T: Wire> Wire for Option<T> {
+    #[inline]
     fn put(&self, w: &mut Writer) {
         match self {
             None => w.u8(0),
@@ -303,6 +342,7 @@ impl<T: Wire> Wire for Option<T> {
             }
         }
     }
+    #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(None),
@@ -504,21 +544,25 @@ impl Wire for HandleCatalog {
 }
 
 impl Wire for MemRef {
+    #[inline]
     fn put(&self, w: &mut Writer) {
         w.u64(self.addr);
         w.u8(self.width);
         self.store.put(w);
     }
+    #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(MemRef { addr: r.u64()?, width: r.u8()?, store: bool::take(r)? })
     }
 }
 
 impl Wire for BrRec {
+    #[inline]
     fn put(&self, w: &mut Writer) {
         self.taken.put(w);
         self.target.put(w);
     }
+    #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(BrRec { taken: bool::take(r)?, target: usize::take(r)? })
     }

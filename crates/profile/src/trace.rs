@@ -56,12 +56,24 @@ impl Trace {
     }
 }
 
+impl DynOp {
+    /// Bytes of this op's wire encoding: the `u32` static index, then
+    /// each `Option` as a tag byte plus, when present, a [`MemRef`]
+    /// (address, width, store flag) or a [`BrRec`] (taken flag, target).
+    #[inline]
+    fn wire_len(&self) -> usize {
+        4 + self.mem.map_or(1, |_| 1 + 8 + 1 + 1) + self.br.map_or(1, |_| 1 + 1 + 8)
+    }
+}
+
 impl Wire for DynOp {
+    #[inline]
     fn put(&self, w: &mut Writer) {
         w.u32(self.sidx);
         self.mem.put(w);
         self.br.put(w);
     }
+    #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(DynOp { sidx: r.u32()?, mem: Wire::take(r)?, br: Wire::take(r)? })
     }
@@ -74,11 +86,15 @@ impl Wire for DynOp {
 /// quick-mode prefix is never confused with a full-length trace.
 impl Wire for Trace {
     fn put(&self, w: &mut Writer) {
+        let len = 8 + self.ops.iter().map(DynOp::wire_len).sum::<usize>() + 8;
+        w.reserve(len);
+        let start = w.len();
         w.u64(self.ops.len() as u64);
         for op in self.ops.iter() {
             op.put(w);
         }
         w.u64(self.insts);
+        debug_assert_eq!(w.len() - start, len, "DynOp::wire_len matches the encoding");
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.seq_len()?;
@@ -182,6 +198,60 @@ mod tests {
         // A truncated file decodes to an error, never a shorter trace.
         assert!(mg_isa::wire::from_bytes::<Trace>(&bytes[..bytes.len() - 3]).is_err());
     }
+
+    /// A hand-built trace touching every encoding branch: loads and
+    /// stores of several widths, taken and not-taken branches, a far
+    /// target, and a handle op carrying both a memory reference and a
+    /// branch.
+    fn fixed_trace() -> Trace {
+        let ld = |addr, width| Some(MemRef { addr, width, store: false });
+        let st = |addr, width| Some(MemRef { addr, width, store: true });
+        let br = |taken, target| Some(BrRec { taken, target });
+        let op = |sidx, mem, br| DynOp { sidx, mem, br };
+        let ops = vec![
+            op(0, None, None),
+            op(1, ld(0x10_0000, 8), None),
+            op(2, st(0x10_0008, 4), None),
+            op(3, st(0xfff, 1), None),
+            op(4, ld(0x7fff_fffe, 2), None),
+            op(5, None, br(true, 1)),
+            op(5, None, br(false, 1)),
+            op(6, None, br(true, 0xdead_beef)),
+            op(7, ld(u64::MAX - 7, 8), br(false, 2)), // a handle: load + branch
+            op(u32::MAX, None, None),
+        ];
+        Trace { ops: ops.into_boxed_slice(), insts: 12 }
+    }
+
+    /// The trace codec's bytes are what the artifact cache stores, so
+    /// they are pinned: a codec change that moves them must come with a
+    /// cache schema bump.
+    #[test]
+    fn trace_wire_bytes_are_pinned() {
+        let t = fixed_trace();
+        let bytes = mg_isa::wire::to_bytes(&t);
+        assert_eq!(bytes.len(), 8 + t.ops.iter().map(DynOp::wire_len).sum::<usize>() + 8);
+        assert_eq!(
+            (bytes.len(), mg_isa::wire::fnv1a(&bytes)),
+            (TRACE_BYTES_PIN, TRACE_FNV_PIN)
+        );
+        let back: Trace = mg_isa::wire::from_bytes(&bytes).unwrap();
+        assert_eq!((back.ops, back.insts), (t.ops, t.insts));
+    }
+
+    /// Every strict prefix of an encoded trace is an error, never a
+    /// shorter trace and never a panic.
+    #[test]
+    fn every_strict_prefix_fails_to_decode() {
+        let bytes = mg_isa::wire::to_bytes(&fixed_trace());
+        for k in 0..bytes.len() {
+            assert!(mg_isa::wire::from_bytes::<Trace>(&bytes[..k]).is_err(), "prefix {k}");
+        }
+    }
+
+    /// Length and FNV-1a hash of `fixed_trace()`'s encoding.
+    const TRACE_BYTES_PIN: usize = 162;
+    const TRACE_FNV_PIN: u64 = 0xa574_f109_f9b1_1204;
 
     #[test]
     fn max_ops_truncates() {
